@@ -13,10 +13,15 @@
 // int8 shortlist with exact float distances, so its recall stays at 1.0
 // while the scan runs on one byte per dimension.
 //
+// A second table times the DCE key side at d=128 and d=960: KeyGen wall
+// time (dominated by the (2d+16)^2 M3 QR) and the mean per-query GenTrapdoor
+// cost (dominated by the folded M3^{-1} matvec).
+//
 // Every point is also emitted as one JSON line into
 // BENCH_kernel_throughput.json (override with PPANNS_BENCH_JSON) so the
 // kernel trajectory is machine-readable across PRs.
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -24,6 +29,7 @@
 #include "bench/bench_util.h"
 #include "common/search_context.h"
 #include "common/timer.h"
+#include "crypto/dce.h"
 #include "index/sq8.h"
 #include "linalg/kernels.h"
 
@@ -191,6 +197,34 @@ int main() {
       }
     }
     std::printf("\n");
+  }
+
+  // DCE key side: one KeyGen per dim, then `q` trapdoors on fresh queries.
+  std::printf("%-6s %-10s %14s %18s\n", "dim", "config", "dce_keygen_s",
+              "dce_trapdoor_us");
+  for (const std::size_t dim : {std::size_t{128}, std::size_t{960}}) {
+    Rng rng(0xDCE + dim);
+    Timer keygen_timer;
+    auto scheme = DceScheme::KeyGen(dim, rng, 10.0 * std::sqrt(double(dim)));
+    const double keygen_s = keygen_timer.ElapsedSeconds();
+    if (!scheme.ok()) return 1;
+    const FloatMatrix queries = RandomRows(q, dim, rng);
+    (void)scheme->GenTrapdoor(queries.row(0), rng);  // warm-up
+    Timer trapdoor_timer;
+    for (std::size_t i = 0; i < q; ++i) {
+      if (scheme->GenTrapdoor(queries.row(i), rng).data.empty()) return 1;
+    }
+    const double trapdoor_us = trapdoor_timer.ElapsedSeconds() / q * 1e6;
+    std::printf("%-6zu %-10s %14.3f %18.1f\n", dim, "dce_keys", keygen_s,
+                trapdoor_us);
+    if (json != nullptr) {
+      std::fprintf(json,
+                   "{\"bench\":\"kernel_throughput\",\"dim\":%zu,"
+                   "\"queries\":%zu,\"config\":\"dce_keys\","
+                   "\"kernel\":\"%s\",\"dce_keygen_s\":%.4f,"
+                   "\"dce_trapdoor_us\":%.2f}\n",
+                   dim, q, ActiveKernelName(), keygen_s, trapdoor_us);
+    }
   }
   if (json != nullptr) std::fclose(json);
   return 0;

@@ -19,6 +19,17 @@ void PairwiseMix(const double* x, std::size_t d_pad, double sign, double* out) {
 
 }  // namespace
 
+DceScheme::DceScheme(DceSecretKey key) : key_(std::move(key)) {
+  const std::size_t dr = key_.dim_pad + 8;
+  const Matrix& inv = key_.m3_inv;
+  m3_inv_folded_ = Matrix(inv.rows(), dr);
+  for (std::size_t i = 0; i < inv.rows(); ++i) {
+    const double* row = inv.row(i);
+    double* out = m3_inv_folded_.row(i);
+    for (std::size_t j = 0; j < dr; ++j) out[j] = row[j] - row[dr + j];
+  }
+}
+
 Result<DceScheme> DceScheme::KeyGen(std::size_t dim, Rng& rng,
                                     double scale_hint) {
   if (dim == 0) return Status::InvalidArgument("DCE: dim must be positive");
@@ -186,18 +197,14 @@ DceCiphertext DceScheme::Encrypt(const float* p, Rng& rng) const {
 }
 
 DceTrapdoor DceScheme::GenTrapdoor(const double* q, Rng& rng) const {
-  const std::size_t dr = key_.dim_pad + 8;
   const std::size_t dt = transformed_dim();
   const std::vector<double> q_bar = RandomizeQuery(q, rng);
 
-  // Eq. 15: q' = r_q * (M3^{-1} [q_bar; -q_bar]) o (kv2 o kv4).
-  std::vector<double> stacked(dt);
-  std::copy(q_bar.begin(), q_bar.end(), stacked.begin());
-  for (std::size_t i = 0; i < dr; ++i) stacked[dr + i] = -q_bar[i];
-
+  // Eq. 15: q' = r_q * (M3^{-1} [q_bar; -q_bar]) o (kv2 o kv4), with the
+  // stacked product folded into m3_inv_folded_ q_bar.
   DceTrapdoor t;
   t.data.resize(dt);
-  MatVec(key_.m3_inv, stacked.data(), t.data.data());
+  MatVec(m3_inv_folded_, q_bar.data(), t.data.data());
 
   const double rq = rng.Uniform(0.5, 2.0);  // strictly positive
   for (std::size_t i = 0; i < dt; ++i) {

@@ -132,7 +132,8 @@ class DceScheme {
   std::size_t ciphertext_size() const { return 4 * transformed_dim(); }
 
  private:
-  explicit DceScheme(DceSecretKey key) : key_(std::move(key)) {}
+  /// KeyGen and FromKey both end here: derives m3_inv_folded_ from the key.
+  explicit DceScheme(DceSecretKey key);
 
   /// Phase 1 (vector randomization) for a database vector: returns
   /// p_bar in R^{d_pad+8}.
@@ -141,6 +142,10 @@ class DceScheme {
   std::vector<double> RandomizeQuery(const double* q, Rng& rng) const;
 
   DceSecretKey key_;
+  /// M3^{-1}[:, :dr] - M3^{-1}[:, dr:] (dt x dr, dr = d_pad + 8), so that
+  /// M3^{-1} [q_bar; -q_bar] = m3_inv_folded_ q_bar: half the trapdoor
+  /// matvec. Derived from the key, never serialized.
+  Matrix m3_inv_folded_;
 };
 
 }  // namespace ppanns

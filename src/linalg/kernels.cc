@@ -93,6 +93,10 @@ double ScalarDotF64(const double* a, const double* b, std::size_t n) {
   return sum;
 }
 
+void ScalarAxpyF64(double a, const double* x, double* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = y[i] + a * x[i];
+}
+
 std::int32_t ScalarL2I8(const std::int8_t* a, const std::int8_t* b,
                         std::size_t d) {
   std::int32_t sum = 0;
@@ -138,7 +142,7 @@ void ScalarL2BatchI8(const std::int8_t* q, const std::int8_t* const* rows,
 
 constexpr KernelOps kScalarOps = {
     "scalar",         ScalarL2F32,      ScalarIpF32,    ScalarL2F64,
-    ScalarDotF64,     ScalarL2I8,       ScalarL2BatchF32,
+    ScalarDotF64,     ScalarAxpyF64,    ScalarL2I8,     ScalarL2BatchF32,
     ScalarIpBatchF32, ScalarL2BatchI8,
 };
 

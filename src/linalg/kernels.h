@@ -3,7 +3,10 @@
 //
 // Every hot loop (HNSW beam expansion, IVF centroid + posting scans, LSH
 // hashing and candidate scoring, brute force, kmeans, and the double-precision
-// cryptographic transforms) calls through this header. The active
+// cryptographic transforms and keygen QR) calls through this header, with one
+// exception: DceScheme::DistanceComp (src/crypto/dce.cc), the server's DCE
+// refine comparison, is still a plain scalar loop with no kernel entry. The
+// active
 // implementation is resolved once at first use: cpuid picks the widest ISA the
 // machine supports (AVX2 on x86-64, NEON on aarch64, scalar otherwise), and
 // the PPANNS_KERNEL environment variable ("scalar", "avx2", "neon", "auto")
@@ -55,6 +58,7 @@ struct KernelOps {
   float (*ip_f32)(const float* a, const float* b, std::size_t d);
   double (*l2_f64)(const double* a, const double* b, std::size_t d);
   double (*dot_f64)(const double* a, const double* b, std::size_t d);
+  void (*axpy_f64)(double a, const double* x, double* y, std::size_t n);
   std::int32_t (*l2_i8)(const std::int8_t* a, const std::int8_t* b,
                         std::size_t d);
 
@@ -146,6 +150,14 @@ inline double SquaredL2(const double* a, const double* b, std::size_t n) {
 /// Inner product of two length-n double vectors.
 inline double Dot(const double* a, const double* b, std::size_t n) {
   return kernel_detail::Active()->dot_f64(a, b, n);
+}
+
+/// y[i] = y[i] + a * x[i] for i in [0, n); x and y must not overlap.
+/// Elementwise, one multiply and one add per element with no FMA, so every
+/// ISA returns the same bits as the scalar loop. The row-major sweeps of the
+/// keygen QR and VecMat go through it.
+inline void Axpy(double a, const double* x, double* y, std::size_t n) {
+  kernel_detail::Active()->axpy_f64(a, x, y, n);
 }
 
 /// Squared L2 distance between two int8 code vectors, exact in int32.

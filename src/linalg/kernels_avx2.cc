@@ -97,6 +97,16 @@ double Avx2DotF64(const double* a, const double* b, std::size_t n) {
   return sum;
 }
 
+void Avx2AxpyF64(double a, const double* x, double* y, std::size_t n) {
+  const __m256d va = _mm256_set1_pd(a);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d prod = _mm256_mul_pd(va, _mm256_loadu_pd(x + i));
+    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), prod));
+  }
+  for (; i < n; ++i) y[i] = y[i] + a * x[i];
+}
+
 // Shuffle-free int8 L2: byte differences fit int8 under the kernel's range
 // contract (|a[i]-b[i]| <= 127, guaranteed by the 7-bit SQ codes), so the
 // whole square-and-accumulate runs on bytes with no widening shuffles:
@@ -288,7 +298,7 @@ void Avx2L2BatchI8(const std::int8_t* q, const std::int8_t* const* rows,
 
 constexpr KernelOps kAvx2Ops = {
     "avx2",         Avx2L2F32,      Avx2IpF32,    Avx2L2F64,
-    Avx2DotF64,     Avx2L2I8,       Avx2L2BatchF32,
+    Avx2DotF64,     Avx2AxpyF64,    Avx2L2I8,     Avx2L2BatchF32,
     Avx2IpBatchF32, Avx2L2BatchI8,
 };
 

@@ -94,6 +94,16 @@ double NeonDotF64(const double* a, const double* b, std::size_t n) {
   return sum;
 }
 
+void NeonAxpyF64(double a, const double* x, double* y, std::size_t n) {
+  const float64x2_t va = vdupq_n_f64(a);
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const float64x2_t prod = vmulq_f64(va, vld1q_f64(x + i));
+    vst1q_f64(y + i, vaddq_f64(vld1q_f64(y + i), prod));
+  }
+  for (; i < n; ++i) y[i] = y[i] + a * x[i];
+}
+
 // Widened-accumulator int8 L2: widen 8 codes to int16, subtract, multiply
 // into int32 via vmull — exact integer arithmetic in any order.
 std::int32_t NeonL2I8(const std::int8_t* a, const std::int8_t* b,
@@ -148,7 +158,7 @@ void NeonL2BatchI8(const std::int8_t* q, const std::int8_t* const* rows,
 
 constexpr KernelOps kNeonOps = {
     "neon",         NeonL2F32,      NeonIpF32,    NeonL2F64,
-    NeonDotF64,     NeonL2I8,       NeonL2BatchF32,
+    NeonDotF64,     NeonAxpyF64,    NeonL2I8,     NeonL2BatchF32,
     NeonIpBatchF32, NeonL2BatchI8,
 };
 

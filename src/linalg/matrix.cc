@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/thread_pool.h"
+
 namespace ppanns {
 
 Matrix Matrix::Identity(std::size_t n) {
@@ -17,51 +19,137 @@ Matrix Matrix::Gaussian(std::size_t rows, std::size_t cols, Rng& rng) {
   return m;
 }
 
+namespace {
+
+// Column panel width of the left-looking factorization and column block
+// width of the Q accumulation. Only speed depends on them: every column sees
+// the same reflections in the same order whatever the widths.
+constexpr std::size_t kQrPanel = 64;
+constexpr std::size_t kQrBlock = 64;
+
+// Applies the Householder reflection H = I - 2 v v^T / (v^T v), where v is
+// zero above row k and holds v[0..n-k) below it, to the w columns of a
+// row-major block `cols` (row stride `ld`), using `f` (w doubles) as workspace.
+//
+// The dot products sweep rows in order, f[j] += v[i] * a[i][j], so each
+// column's v^T a_j is the same sequential-in-i sum as the one-column-at-a-time
+// textbook loop; the update a[i][j] -= f[j] * v[i], with f[j] = 2 v^T a_j /
+// (v^T v), is elementwise. The result is bit-identical to that loop for any
+// block split.
+void ApplyReflection(const double* v, double vnorm2, std::size_t k,
+                     std::size_t n, double* cols, std::size_t ld, std::size_t w,
+                     double* f) {
+  std::fill(f, f + w, 0.0);
+  for (std::size_t i = k; i < n; ++i) Axpy(v[i - k], cols + i * ld, f, w);
+  for (std::size_t j = 0; j < w; ++j) f[j] = 2.0 * f[j] / vnorm2;
+  for (std::size_t i = k; i < n; ++i) Axpy(-v[i - k], f, cols + i * ld, w);
+}
+
+// Builds the reflection that zeroes rows k+1..n-1 of column k (stored with
+// row stride `ld` in `col`). Returns false, leaving `v` empty, where the
+// column needs no reflection.
+bool HouseholderVector(const double* col, std::size_t ld, std::size_t k,
+                       std::size_t n, std::vector<double>* v, double* vnorm2) {
+  double norm = 0.0;
+  for (std::size_t i = k; i < n; ++i) norm += col[i * ld] * col[i * ld];
+  norm = std::sqrt(norm);
+  if (norm < 1e-300) return false;
+
+  const double alpha = (col[k * ld] >= 0.0) ? -norm : norm;
+  std::vector<double> u(n - k);
+  double u_norm2 = 0.0;
+  for (std::size_t i = k; i < n; ++i) {
+    u[i - k] = col[i * ld];
+    if (i == k) u[0] -= alpha;
+    u_norm2 += u[i - k] * u[i - k];
+  }
+  if (u_norm2 < 1e-300) return false;
+  *v = std::move(u);
+  *vnorm2 = u_norm2;
+  return true;
+}
+
+// Householder QR of the square matrix `a`. Writes the orthogonal factor,
+// sign-corrected so R's diagonal is non-negative, to `q` and its transpose to
+// `q_t`.
+//
+// A is factored in left-looking column panels: each panel first applies the
+// reflections of the panels before it, then factors itself. The reflections
+// are kept, and Q is accumulated afterwards one column block per pool task.
+// Columns are independent, so Q does not depend on how they are split over
+// threads.
+void HouseholderQ(const Matrix& a, ThreadPool& pool, Matrix* q, Matrix* q_t) {
+  const std::size_t n = a.rows();
+  // v[k] holds rows k..n-1 of reflection k; an empty v[k] means column k
+  // needed no reflection.
+  std::vector<std::vector<double>> v(n);
+  std::vector<double> vnorm2(n, 0.0);
+  std::vector<bool> flip(n, false);
+
+  std::vector<double> panel(n * kQrPanel), f(kQrPanel);
+  for (std::size_t p0 = 0; p0 < n; p0 += kQrPanel) {
+    const std::size_t w = std::min(kQrPanel, n - p0);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::copy(a.row(i) + p0, a.row(i) + p0 + w, panel.data() + i * w);
+    }
+    for (std::size_t k = 0; k < p0; ++k) {
+      if (!v[k].empty()) {
+        ApplyReflection(v[k].data(), vnorm2[k], k, n, panel.data(), w, w,
+                        f.data());
+      }
+    }
+    for (std::size_t c = 0; c < w; ++c) {
+      const std::size_t k = p0 + c;
+      if (HouseholderVector(panel.data() + c, w, k, n, &v[k], &vnorm2[k])) {
+        ApplyReflection(v[k].data(), vnorm2[k], k, n, panel.data() + c, w,
+                        w - c, f.data());
+      }
+      // Later reflections never touch column k, so its diagonal is final.
+      flip[k] = panel[k * w + c] < 0.0;
+    }
+  }
+
+  // The reflections' product applied to e_j is column j of Q^T before the
+  // sign fix; flipping row i where R_ii < 0 makes R's diagonal positive.
+  *q = Matrix(n, n);
+  *q_t = Matrix(n, n);
+  const std::size_t blocks = (n + kQrBlock - 1) / kQrBlock;
+  pool.ParallelFor(blocks, [&](std::size_t begin, std::size_t end) {
+    std::vector<double> blk(n * kQrBlock), g(kQrBlock);
+    for (std::size_t b = begin; b < end; ++b) {
+      const std::size_t c0 = b * kQrBlock;
+      const std::size_t w = std::min(kQrBlock, n - c0);
+      std::fill(blk.begin(), blk.begin() + n * w, 0.0);
+      for (std::size_t c = 0; c < w; ++c) blk[(c0 + c) * w + c] = 1.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (!v[k].empty()) {
+          ApplyReflection(v[k].data(), vnorm2[k], k, n, blk.data(), w, w,
+                          g.data());
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        double* row = blk.data() + i * w;
+        if (flip[i]) {
+          for (std::size_t c = 0; c < w; ++c) row[c] = -row[c];
+        }
+        std::copy(row, row + w, q_t->row(i) + c0);
+      }
+      for (std::size_t c = 0; c < w; ++c) {
+        double* out = q->row(c0 + c);
+        for (std::size_t i = 0; i < n; ++i) out[i] = blk[i * w + c];
+      }
+    }
+  });
+}
+
+}  // namespace
+
 Matrix Matrix::RandomOrthogonal(std::size_t n, Rng& rng) {
-  // Householder QR of a Gaussian matrix; Q is returned. Sign-correct the
-  // diagonal of R so Q is Haar-ish distributed rather than biased.
-  Matrix a = Gaussian(n, n, rng);
-  Matrix q = Identity(n);
-
-  std::vector<double> v(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    // Build Householder vector for column k of the trailing submatrix.
-    double norm = 0.0;
-    for (std::size_t i = k; i < n; ++i) norm += a.at(i, k) * a.at(i, k);
-    norm = std::sqrt(norm);
-    if (norm < 1e-300) continue;
-
-    const double alpha = (a.at(k, k) >= 0.0) ? -norm : norm;
-    double vnorm2 = 0.0;
-    for (std::size_t i = k; i < n; ++i) {
-      v[i] = a.at(i, k);
-      if (i == k) v[i] -= alpha;
-      vnorm2 += v[i] * v[i];
-    }
-    if (vnorm2 < 1e-300) continue;
-
-    // Apply H = I - 2 v v^T / (v^T v) to A (left) and accumulate into Q.
-    for (std::size_t j = k; j < n; ++j) {
-      double dot = 0.0;
-      for (std::size_t i = k; i < n; ++i) dot += v[i] * a.at(i, j);
-      const double f = 2.0 * dot / vnorm2;
-      for (std::size_t i = k; i < n; ++i) a.at(i, j) -= f * v[i];
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      double dot = 0.0;
-      for (std::size_t i = k; i < n; ++i) dot += v[i] * q.at(i, j);
-      const double f = 2.0 * dot / vnorm2;
-      for (std::size_t i = k; i < n; ++i) q.at(i, j) -= f * v[i];
-    }
-  }
-  // Q currently holds the product of Householder reflections = Q^T of the
-  // factorization; flip rows where R's diagonal is negative, then transpose.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a.at(i, i) < 0.0) {
-      for (std::size_t j = 0; j < n; ++j) q.at(i, j) = -q.at(i, j);
-    }
-  }
-  return q.Transpose();
+  // Householder QR of a Gaussian matrix; Q is returned. Sign-correcting the
+  // diagonal of R makes Q Haar-ish distributed rather than biased.
+  Matrix q, q_t;
+  HouseholderQ(Gaussian(n, n, rng), ThreadPool::Global(), &q, &q_t);
+  return q;
 }
 
 Matrix Matrix::Transpose() const {
@@ -110,10 +198,7 @@ void MatVec(const Matrix& a, const double* x, double* y) {
 void VecMat(const double* x, const Matrix& a, double* y) {
   std::fill(y, y + a.cols(), 0.0);
   for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    const double* arow = a.row(i);
-    for (std::size_t j = 0; j < a.cols(); ++j) y[j] += xi * arow[j];
+    if (x[i] != 0.0) Axpy(x[i], a.row(i), y, a.cols());
   }
 }
 
@@ -255,8 +340,11 @@ InvertibleMatrix InvertibleMatrix::RandomFast(std::size_t n, Rng& rng,
   return out;
 }
 
-InvertibleMatrix InvertibleMatrix::Random(std::size_t n, Rng& rng) {
-  Matrix q = Matrix::RandomOrthogonal(n, rng);
+InvertibleMatrix InvertibleMatrix::Random(std::size_t n, Rng& rng,
+                                          ThreadPool* pool) {
+  Matrix q, q_t;
+  HouseholderQ(Matrix::Gaussian(n, n, rng),
+               pool != nullptr ? *pool : ThreadPool::Global(), &q, &q_t);
   std::vector<double> d1(n), d2(n);
   for (std::size_t i = 0; i < n; ++i) {
     d1[i] = rng.SignedUniform(0.5, 2.0);
@@ -268,9 +356,13 @@ InvertibleMatrix InvertibleMatrix::Random(std::size_t n, Rng& rng) {
   out.m = Matrix(n, n);
   out.m_inv = Matrix(n, n);
   for (std::size_t i = 0; i < n; ++i) {
+    const double* q_row = q.row(i);
+    const double* q_t_row = q_t.row(i);
+    double* m_row = out.m.row(i);
+    double* m_inv_row = out.m_inv.row(i);
     for (std::size_t j = 0; j < n; ++j) {
-      out.m.at(i, j) = d1[i] * q.at(i, j) * d2[j];
-      out.m_inv.at(i, j) = (1.0 / d2[i]) * q.at(j, i) * (1.0 / d1[j]);
+      m_row[j] = d1[i] * q_row[j] * d2[j];
+      m_inv_row[j] = (1.0 / d2[i]) * q_t_row[j] * (1.0 / d1[j]);
     }
   }
   return out;

@@ -17,6 +17,8 @@
 
 namespace ppanns {
 
+class ThreadPool;
+
 /// Row-major dense matrix of doubles.
 class Matrix {
  public:
@@ -43,7 +45,9 @@ class Matrix {
   static Matrix Gaussian(std::size_t rows, std::size_t cols, Rng& rng);
 
   /// Random orthogonal matrix via Householder QR of a Gaussian matrix
-  /// (Haar-ish distributed; exactly invertible by transpose).
+  /// (Haar-ish distributed; exactly invertible by transpose). The QR is
+  /// cache-blocked and accumulates Q on ThreadPool::Global(); the result is
+  /// bit-identical for every thread count and kernel ISA.
   static Matrix RandomOrthogonal(std::size_t n, Rng& rng);
 
   Matrix Transpose() const;
@@ -121,15 +125,18 @@ struct InvertibleMatrix {
   Matrix m;
   Matrix m_inv;
 
-  static InvertibleMatrix Random(std::size_t n, Rng& rng);
+  /// Runs the QR of Matrix::RandomOrthogonal on `pool` (default
+  /// ThreadPool::Global()); the output does not depend on the pool.
+  static InvertibleMatrix Random(std::size_t n, Rng& rng,
+                                 ThreadPool* pool = nullptr);
 
   /// O(k n^2) variant: M = D1 * (H_k ... H_1) * D2 with k Householder
   /// reflections (each orthogonal and self-inverse), so the inverse is
   /// exact and the condition number is still <= cond(D1) * cond(D2) <= 16.
   /// Used where key generation cost dominates and the key's statistical
   /// structure is not security-relevant (the AME cost-model baseline
-  /// generates 32 keys of dimension 2d+6; full QR would take minutes at
-  /// GIST's d=960).
+  /// generates 32 keys of dimension 2d+6; at GIST's d=960 that is 32 full
+  /// QRs of n=1926, about a minute in all, against milliseconds here).
   static InvertibleMatrix RandomFast(std::size_t n, Rng& rng,
                                      std::size_t reflections = 16);
 };

@@ -267,11 +267,74 @@ INSTANTIATE_TEST_SUITE_P(
                       DceSweepParam{16, 1.0}, DceSweepParam{33, 1.0},
                       DceSweepParam{64, 1.0}, DceSweepParam{128, 1.0},
                       DceSweepParam{16, 255.0}, DceSweepParam{128, 255.0},
-                      DceSweepParam{96, 0.01}, DceSweepParam{100, 8.0}),
+                      DceSweepParam{96, 0.01}, DceSweepParam{100, 8.0},
+                      DceSweepParam{960, 1.0}, DceSweepParam{960, 255.0}),
     [](const ::testing::TestParamInfo<DceSweepParam>& info) {
       return "d" + std::to_string(info.param.dim) + "_s" +
              std::to_string(static_cast<int>(info.param.scale * 100));
     });
+
+// The trapdoor a DceScheme computes from its folded M3^{-1} half must equal
+// Eq. 15 evaluated literally, M3^{-1} [q_bar; -q_bar], on the same Rng
+// draws. The reference re-derives q_bar from the key fields (Eq. 3).
+std::vector<double> UnfoldedTrapdoor(const DceSecretKey& k, const double* q,
+                                     Rng& rng) {
+  const std::size_t d_pad = k.dim_pad;
+  const std::size_t half_data = d_pad / 2;
+  const std::size_t half = half_data + 4;
+  const std::size_t dr = d_pad + 8;
+  const std::size_t dt = 2 * dr;
+
+  std::vector<double> padded(d_pad, 0.0);
+  std::copy(q, q + k.dim, padded.begin());
+  std::vector<double> check(d_pad);
+  for (std::size_t i = 0; i + 1 < d_pad; i += 2) {
+    check[i] = -(padded[i] + padded[i + 1]);
+    check[i + 1] = -(padded[i] - padded[i + 1]);
+  }
+  const std::vector<double> hat = k.pi1.Apply(check);
+  const double beta1 = rng.SignedUniform(0.5, 2.0) * k.scale;
+  const double beta2 = rng.SignedUniform(0.5, 2.0) * k.scale;
+  std::vector<double> bq1(hat.begin(), hat.begin() + half_data);
+  bq1.insert(bq1.end(), {beta1, beta1, k.r1, k.r2});
+  std::vector<double> bq2(hat.begin() + half_data, hat.end());
+  bq2.insert(bq2.end(), {beta2, -beta2, k.r3, k.r4});
+  std::vector<double> cat(2 * half);
+  MatVec(k.m1.m_inv, bq1.data(), cat.data());
+  MatVec(k.m2.m_inv, bq2.data(), cat.data() + half);
+  const std::vector<double> q_bar = k.pi2.Apply(cat);
+
+  std::vector<double> stacked(q_bar);
+  for (double v : q_bar) stacked.push_back(-v);
+  std::vector<double> t(dt);
+  MatVec(k.m3_inv, stacked.data(), t.data());
+  const double rq = rng.Uniform(0.5, 2.0);
+  for (std::size_t i = 0; i < dt; ++i) t[i] *= rq * k.kv2[i] * k.kv4[i];
+  return t;
+}
+
+TEST(DceTest, FoldedTrapdoorMatchesUnfoldedReference) {
+  for (const std::size_t d : {16u, 131u}) {
+    Rng rng(16 + d);
+    auto scheme = DceScheme::KeyGen(d, rng, 3.0);
+    ASSERT_TRUE(scheme.ok());
+    for (int trial = 0; trial < 10; ++trial) {
+      const std::vector<double> q = RandomVector(d, 3.0, rng);
+      Rng r1(trial), r2(trial);
+      const DceTrapdoor folded = scheme->GenTrapdoor(q.data(), r1);
+      const std::vector<double> ref =
+          UnfoldedTrapdoor(scheme->key(), q.data(), r2);
+      ASSERT_EQ(folded.data.size(), ref.size());
+      double diff2 = 0.0, ref2 = 0.0;
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        diff2 += (folded.data[i] - ref[i]) * (folded.data[i] - ref[i]);
+        ref2 += ref[i] * ref[i];
+      }
+      EXPECT_LE(std::sqrt(diff2), 1e-12 * std::sqrt(ref2))
+          << "d=" << d << " trial=" << trial;
+    }
+  }
+}
 
 // Close-call stress: vectors engineered so dist(o,q) and dist(p,q) differ by
 // a tiny relative margin; the comparison must still be exact.

@@ -147,6 +147,38 @@ TEST(KernelsTest, SimdBitExactDoubleKernels) {
   }
 }
 
+// Axpy is elementwise (one multiply, one add, no FMA), so every ISA must
+// return the scalar loop's bits, signed zeros included: the keygen QR's
+// byte-identical keys rest on it.
+TEST(KernelsTest, SimdBitExactAxpy) {
+  for (KernelIsa isa : SupportedSimdIsas()) {
+    Rng rng(0xA1F);
+    for (std::size_t d = 1; d <= 130; ++d) {
+      const double a = rng.Gaussian(0.0, 10.0);
+      std::vector<double> x(d), y(d);
+      for (std::size_t j = 0; j < d; ++j) {
+        x[j] = j % 7 == 0 ? 0.0 : rng.Gaussian(0.0, 10.0);
+        y[j] = j % 5 == 0 ? -0.0 : rng.Gaussian(0.0, 10.0);
+      }
+      std::vector<double> ys = y, yv = y;
+      {
+        ScopedKernelIsa scalar(KernelIsa::kScalar);
+        Axpy(a, x.data(), ys.data(), d);
+      }
+      {
+        ScopedKernelIsa simd(isa);
+        Axpy(a, x.data(), yv.data(), d);
+      }
+      for (std::size_t j = 0; j < d; ++j) {
+        EXPECT_DOUBLE_EQ(ys[j], y[j] + a * x[j])
+            << "dim " << d << " elem " << j;
+      }
+      EXPECT_EQ(std::memcmp(ys.data(), yv.data(), d * sizeof(double)), 0)
+          << "dim " << d;
+    }
+  }
+}
+
 TEST(KernelsTest, SimdInt8KernelExact) {
   for (KernelIsa isa : SupportedSimdIsas()) {
     Rng rng(0xB19);
