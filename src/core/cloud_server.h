@@ -95,6 +95,10 @@ struct SearchCounters {
   /// query against the same database epoch, and every work counter above is
   /// zero because no filter/refine work ran.
   bool cache_hit = false;
+  /// Filter-phase time. Sharded: the sum of the winning dispatch times of
+  /// the query's (query, shard) items (injected delay plus scan, or the RPC
+  /// round trip) on every call shape — not wall time, since the items run
+  /// in parallel. Unsharded: the one filter scan.
   double filter_seconds = 0.0;
   double refine_seconds = 0.0;
 };

@@ -308,13 +308,10 @@ Result<BatchSearchResult> PpannsService::SearchBatch(
   // The scatter itself, over whichever tokens were not served above.
   auto run = [&](std::span<const QueryToken> qs) -> std::vector<SearchResult> {
     if (const auto* s = std::get_if<ShardedCloudServer>(&server_)) {
-      // Batch-level scatter: all Q*S (query, shard) filter items as one
-      // flat fan-out — hedged through the claim-flag machinery when asked —
-      // then per-query merge/refine. Same ids as a sequential loop, lower
-      // tail latency for small batches.
-      return async.hedge_ms > 0.0
-                 ? s->SearchBatchScattered(qs, k, settings, async)
-                 : s->SearchBatchScattered(qs, k, settings);
+      // All Q*S (query, shard) filter items dispatch together — hedged when
+      // async.hedge_ms > 0 — then merge/refine per query. Same ids as a
+      // sequential loop, lower tail latency for small batches.
+      return s->SearchBatch(qs, k, settings, async);
     }
     std::vector<SearchResult> out(qs.size());
     ThreadPool::Global().ParallelFor(

@@ -103,8 +103,9 @@ class PpannsService {
   /// Validated asynchronous search. On a sharded topology this is the
   /// latency-hiding path: (query, shard-replica) work items fan across the
   /// ThreadPool, shards that miss `async.hedge_ms` are hedged onto their
-  /// next live replica (first answer wins), and a shard with no live
-  /// replica degrades per AsyncOptions (partial flag or Status). On the
+  /// next live replica (first answer wins), and a shard that did not
+  /// answer (no live replica, or a failed dispatch) degrades per
+  /// AsyncOptions (partial flag or Status). On the
   /// single-index topology it behaves exactly like Search (there is nothing
   /// to hedge). Result ids are identical to Search on a healthy cluster.
   Result<SearchResult> SearchAsync(const QueryToken& token, std::size_t k,

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -60,10 +59,10 @@ struct ShardedCloudServer::ShardSet {
   std::size_t num_replicas = 1;
 };
 
-// Global counters that survive swaps at a stable heap address: async work
-// items outlive SearchAsync (hedge losers may still be draining when the
-// winner returned) and may even outlive a move of the server object, so
-// they capture Runtime* — stable — never `this`.
+// Global counters that survive swaps at a stable heap address: hedged work
+// items outlive the search that dispatched them (losers may still be
+// draining when the winner returned) and may even outlive a move of the
+// server object, so they capture Runtime* — stable — never `this`.
 struct ShardedCloudServer::Runtime {
   /// Async work items still on the pool (including abandoned hedge losers);
   /// the destructor drains this before the shards are released.
@@ -123,11 +122,14 @@ class LocalShardTransport final : public ShardTransport {
     out->scanned = true;
     out->candidates = replica_->index().Search(
         token.sap.data(), options.k_prime, options.ef_search, ctx);
+    // The ciphertexts stay where they are: the answer points into the
+    // replica's own array (FilterShard copies them for the RPC server path).
+    const std::vector<DceCiphertext>& dce = replica_->dce_ciphertexts();
+    if (options.want_dce) out->dce_refs.reserve(out->candidates.size());
     for (Neighbor& nb : out->candidates) {
+      if (options.want_dce) out->dce_refs.push_back(&dce[nb.id]);
       nb.id = (*local_to_global_)[nb.id];
     }
-    // want_dce is ignored: a local gather reads ciphertexts in place
-    // (FilterShard attaches them for the RPC server path).
     return Status::OK();
   }
 
@@ -138,6 +140,109 @@ class LocalShardTransport final : public ShardTransport {
   const std::vector<VectorId>* local_to_global_;
   const std::atomic<int>* delay_ms_;
 };
+
+/// The per-scan knobs every dispatch of a query shares. want_dce follows
+/// settings.refine: the refine phase needs every candidate's ciphertext.
+ShardFilterOptions MakeFilterOptions(std::size_t k_prime,
+                                     const SearchSettings& settings) {
+  ShardFilterOptions options;
+  options.k_prime = k_prime;
+  options.ef_search = settings.ef_search;
+  options.want_dce = settings.refine;
+  options.admission_ms = settings.admission_ms;
+  return options;
+}
+
+/// The gather + refine of one query: merges the per-shard (candidate,
+/// ciphertext) pairs to the global SAP-top-k', then (unless settings.refine
+/// is off) streams them through one DCE ComparisonHeap, probing `ctx`
+/// between comparisons. Where a ciphertext lives — a local replica's array
+/// or a remote answer's shipped copy — is the transport's business; the
+/// refine reads it through the pair. Fills ids, filter_candidates,
+/// dce_comparisons, refine_seconds, and the context-derived counters.
+SearchResult MergeAndRefine(const QueryToken& token, std::size_t k,
+                            const SearchSettings& settings,
+                            std::size_t k_prime,
+                            std::span<const ShardFilterResult> answers,
+                            SearchContext* ctx) {
+  SearchResult result;
+
+  // ---- Gather: merge to the global SAP-top-k' under the same
+  // (distance, global id) order an unsharded filter phase produces. Each
+  // shard's top-k' is complete for that shard, so the merged prefix equals
+  // the unsharded candidate list whenever the backends are exact.
+  struct Candidate {
+    Neighbor nb;
+    const DceCiphertext* ct;  ///< null when the answer carries none
+  };
+  std::size_t total = 0;
+  for (const ShardFilterResult& answer : answers) {
+    total += answer.candidates.size();
+  }
+  std::vector<Candidate> merged;
+  merged.reserve(total);
+  for (const ShardFilterResult& answer : answers) {
+    for (std::size_t i = 0; i < answer.candidates.size(); ++i) {
+      merged.push_back({answer.candidates[i], answer.ciphertext(i)});
+    }
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const Candidate& a, const Candidate& b) { return a.nb < b.nb; });
+  if (merged.size() > k_prime) merged.resize(k_prime);
+  result.counters.filter_candidates = merged.size();
+
+  if (!settings.refine) {
+    const std::size_t out_k = std::min(k, merged.size());
+    result.ids.reserve(out_k);
+    for (std::size_t i = 0; i < out_k; ++i) result.ids.push_back(merged[i].nb.id);
+    if (ctx != nullptr) FillCounters(&result.counters, *ctx);
+    return result;
+  }
+
+  // ---- Refine: one DCE ComparisonHeap over the merged budget. The heap
+  // holds positions in `merged` and only ever asks the oracle, so it makes
+  // the same comparisons — and returns the same ids — as a heap over the
+  // ids themselves.
+  Timer refine_timer;
+  std::size_t* comparisons = &result.counters.dce_comparisons;
+  ComparisonHeap heap(
+      k, [&token, &merged, comparisons](VectorId a, VectorId b) {
+        ++*comparisons;
+        return DceScheme::Closer(*merged[a].ct, *merged[b].ct, token.trapdoor);
+      });
+  // Blocked offers: gather a block of eligible candidates, prefetching each
+  // one's DCE ciphertext payload, then run the comparison-heavy offers over
+  // warm lines. Offers apply in candidate order, so ids match the unblocked
+  // loop.
+  VectorId block[kKernelBlock];
+  std::size_t ci = 0;
+  bool abandoned = false;
+  while (ci < merged.size() && !abandoned) {
+    std::size_t bn = 0;
+    for (; ci < merged.size() && bn < kKernelBlock; ++ci) {
+      // Candidate-granularity probe: DCE comparisons dwarf a row scan. A
+      // spent filter budget does not abandon refinement — only cancellation
+      // or the deadline does.
+      if (ctx != nullptr && ctx->ShouldAbandon()) {
+        abandoned = true;
+        break;
+      }
+      // Defensive: never offer a candidate whose ciphertext did not ship
+      // (a malformed remote answer) — the comparator must not fault.
+      if (merged[ci].ct == nullptr) continue;
+      PrefetchRead(merged[ci].ct->data.data());
+      block[bn++] = static_cast<VectorId>(ci);
+    }
+    heap.OfferBatch(block, bn);
+  }
+  for (VectorId pos : heap.ExtractSorted()) result.ids.push_back(merged[pos].nb.id);
+  result.counters.refine_seconds = refine_timer.ElapsedSeconds();
+  if (ctx != nullptr) {
+    ctx->stats.dce_comparisons += result.counters.dce_comparisons;
+    FillCounters(&result.counters, *ctx);
+  }
+  return result;
+}
 
 /// Allocates a group's state cells and in-process transports once its
 /// replicas and local_to_global vector objects exist (the transports hold
@@ -788,15 +893,6 @@ std::size_t ShardedCloudServer::live_replicas(std::size_t s) const {
   return live;
 }
 
-int ShardedCloudServer::FirstLiveReplica(const ShardSet& set, std::size_t s,
-                                         std::size_t* skipped) {
-  for (std::size_t r = 0; r < set.num_replicas; ++r) {
-    if (!ReplicaDown(set, s, r)) return static_cast<int>(r);
-    if (skipped != nullptr) ++*skipped;
-  }
-  return -1;
-}
-
 int ShardedCloudServer::PickReplica(const ShardSet& set, std::size_t s,
                                     std::size_t* skipped) {
   int best = -1;
@@ -818,16 +914,6 @@ int ShardedCloudServer::PickReplica(const ShardSet& set, std::size_t s,
     }
   }
   return best;
-}
-
-ShardFilterOptions ShardedCloudServer::MakeFilterOptions(
-    std::size_t k_prime, const SearchSettings& settings) const {
-  ShardFilterOptions options;
-  options.k_prime = k_prime;
-  options.ef_search = settings.ef_search;
-  options.want_dce = remote_ && settings.refine;
-  options.admission_ms = settings.admission_ms;
-  return options;
 }
 
 Status ShardedCloudServer::FilterVia(const ShardSet& set, std::size_t s,
@@ -861,211 +947,114 @@ Status ShardedCloudServer::FilterShard(std::size_t s, std::size_t r,
     return Status::InvalidArgument("FilterShard: k' must be positive");
   }
   PPANNS_RETURN_IF_ERROR(FilterVia(*set, s, r, token, options, ctx, out));
-  if (options.want_dce) {
-    // Ship the candidates' ciphertexts for the remote refine phase. Any
-    // replica of the shard serves (ciphertexts are byte-identical); use the
-    // one that answered.
-    const CloudServer& source = set->groups[s]->replicas[r];
-    out->dce.reserve(out->candidates.size());
-    for (const Neighbor& nb : out->candidates) {
-      const ShardRef& ref = set->manifest.at(nb.id);
-      out->dce.push_back(source.dce_ciphertexts()[ref.local]);
-    }
-  }
+  // Ship the candidates' ciphertexts for the remote refine phase: the answer
+  // outlives this call's pin, so the in-place references become copies.
+  out->dce.reserve(out->dce_refs.size());
+  for (const DceCiphertext* ct : out->dce_refs) out->dce.push_back(*ct);
+  out->dce_refs.clear();
   return Status::OK();
 }
 
-SearchResult ShardedCloudServer::MergeAndRefine(
-    const ShardSet& set, const QueryToken& token, std::size_t k,
-    const SearchSettings& settings, std::size_t k_prime,
-    std::vector<ShardFilterResult> per_shard, SearchContext* ctx) const {
-  SearchResult result;
-
-  // A remote gather refines over ciphertexts shipped in the answers; index
-  // them by global id up front. (The map points into per_shard, which stays
-  // alive through the refine below.)
-  std::unordered_map<VectorId, const DceCiphertext*> shipped_dce;
-  if (remote_ && settings.refine) {
-    for (const ShardFilterResult& shard_result : per_shard) {
-      const std::size_t n = std::min(shard_result.candidates.size(),
-                                     shard_result.dce.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        shipped_dce.emplace(shard_result.candidates[i].id,
-                            &shard_result.dce[i]);
-      }
-    }
-  }
-
-  // ---- Gather: merge to the global SAP-top-k' under the same
-  // (distance, global id) order an unsharded filter phase produces. Each
-  // shard's top-k' is complete for that shard, so the merged prefix equals
-  // the unsharded candidate list whenever the backends are exact.
-  std::vector<Neighbor> merged;
-  for (const ShardFilterResult& shard_result : per_shard) {
-    merged.insert(merged.end(), shard_result.candidates.begin(),
-                  shard_result.candidates.end());
-  }
-  std::sort(merged.begin(), merged.end());
-  if (merged.size() > k_prime) merged.resize(k_prime);
-  result.counters.filter_candidates = merged.size();
-
-  if (!settings.refine) {
-    const std::size_t out_k = std::min(k, merged.size());
-    result.ids.reserve(out_k);
-    for (std::size_t i = 0; i < out_k; ++i) result.ids.push_back(merged[i].id);
-    if (ctx != nullptr) FillCounters(&result.counters, *ctx);
-    return result;
-  }
-
-  // ---- Refine: one DCE ComparisonHeap over the merged budget. A local
-  // server resolves each global id to its shard's ciphertext through the
-  // manifest (any live replica serves the lookup — ciphertexts are identical
-  // across replicas; the choice is pinned per shard up front so the
-  // comparison hot loop does no health checks). A remote gather looks up the
-  // shipped ciphertexts instead — same comparisons, same ids.
-  std::vector<const CloudServer*> dce_source;
-  if (!remote_) {
-    dce_source.resize(set.groups.size());
-    for (std::size_t s = 0; s < set.groups.size(); ++s) {
-      const int r = FirstLiveReplica(set, s);
-      dce_source[s] = r >= 0 ? &set.groups[s]->replicas[r]
-                             : &set.groups[s]->replicas.front();
-    }
-  }
-
-  Timer refine_timer;
-  std::size_t* comparisons = &result.counters.dce_comparisons;
-  const ShardManifest& manifest = set.manifest;
-  ComparisonHeap heap(
-      k, [this, &token, &dce_source, &shipped_dce, &manifest,
-          comparisons](VectorId a, VectorId b) {
-        ++*comparisons;
-        if (remote_) {
-          return DceScheme::Closer(*shipped_dce.at(a), *shipped_dce.at(b),
-                                   token.trapdoor);
-        }
-        const ShardRef& ra = manifest.at(a);
-        const ShardRef& rb = manifest.at(b);
-        return DceScheme::Closer(
-            dce_source[ra.shard]->dce_ciphertexts()[ra.local],
-            dce_source[rb.shard]->dce_ciphertexts()[rb.local], token.trapdoor);
-      });
-  // Blocked offers: gather a block of eligible candidates, prefetching each
-  // one's DCE ciphertext payload, then run the comparison-heavy offers over
-  // warm lines. Offers apply in candidate order, so ids match the unblocked
-  // loop.
-  VectorId block[kKernelBlock];
-  std::size_t ci = 0;
-  bool abandoned = false;
-  while (ci < merged.size() && !abandoned) {
-    std::size_t bn = 0;
-    for (; ci < merged.size() && bn < kKernelBlock; ++ci) {
-      // Candidate-granularity probe: DCE comparisons dwarf a row scan. A
-      // spent filter budget does not abandon refinement — only cancellation
-      // or the deadline does.
-      if (ctx != nullptr && ctx->ShouldAbandon()) {
-        abandoned = true;
-        break;
-      }
-      const VectorId id = merged[ci].id;
-      if (remote_) {
-        // Defensive: never offer a candidate whose ciphertext did not ship
-        // (a malformed remote answer) — the comparator must not throw.
-        const auto it = shipped_dce.find(id);
-        if (it == shipped_dce.end()) continue;
-        PrefetchRead(it->second->data.data());
-      } else {
-        const ShardRef& ref = manifest.at(id);
-        PrefetchRead(
-            dce_source[ref.shard]->dce_ciphertexts()[ref.local].data.data());
-      }
-      block[bn++] = id;
-    }
-    heap.OfferBatch(block, bn);
-  }
-  result.ids = heap.ExtractSorted();
-  result.counters.refine_seconds = refine_timer.ElapsedSeconds();
-  if (ctx != nullptr) {
-    ctx->stats.dce_comparisons += result.counters.dce_comparisons;
-    FillCounters(&result.counters, *ctx);
-  }
-  return result;
-}
-
-SearchResult ShardedCloudServer::Search(const QueryToken& token, std::size_t k,
-                                        const SearchSettings& settings,
-                                        SearchContext* ctx) const {
-  SearchResult result;
-  if (k == 0 || size() == 0) return result;
-  SearchContext local_ctx;
-  if (ctx == nullptr) ctx = &local_ctx;
-  ApplyContextSettings(ctx, settings);
+std::vector<SearchResult> ShardedCloudServer::RunPipeline(
+    std::span<const QueryToken> tokens, std::size_t k,
+    const SearchSettings& settings, const AsyncOptions& async,
+    std::span<SearchContext* const> ctxs, std::size_t* answered) const {
+  const std::size_t num_queries = tokens.size();
+  std::vector<SearchResult> results(num_queries);
+  if (num_queries == 0 || k == 0 || size() == 0) return results;
+  for (SearchContext* ctx : ctxs) ApplyContextSettings(ctx, settings);
   const std::size_t k_prime = ResolveKPrime(settings, k);
+  const ShardFilterOptions options = MakeFilterOptions(k_prime, settings);
 
-  // Pin the serving state once: the whole query — scatter, merge, refine —
+  // Pin the serving state once: every query — scatter, merge, refine —
   // reads this set even if a compaction swaps a new one in meanwhile.
   const std::shared_ptr<const ShardSet> set = set_->Pin();
-
-  // ---- Scatter (filter phase): every shard answers the full k'-ANNS over
-  // its least-loaded live replica. Inside a batch worker the fan-out runs
-  // inline; standalone calls parallelize across shards. The gather below is
-  // a barrier — the synchronous path's tail latency is the slowest replica.
-  // Each shard scans under its own Child context (contexts are single-
-  // threaded by design); the parent merges them after the barrier.
-  Timer filter_timer;
   const std::size_t num_shards = set->groups.size();
-  const ShardFilterOptions options = MakeFilterOptions(k_prime, settings);
-  std::vector<ShardFilterResult> per_shard(num_shards);
-  std::vector<std::size_t> skipped(num_shards, 0);
-  std::vector<char> shard_down(num_shards, 0);
-  std::vector<SearchContext> children;
-  children.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) children.push_back(ctx->Child());
+
+  // ---- Scatter (filter phase) over the Q*S (query, shard) items. The
+  // hedged coordinator needs this thread as its inline hedge executor; a
+  // pool worker cannot play that role for itself, so it dispatches flat.
+  const ScatterOutcome outcome =
+      async.hedge_ms > 0.0 && !ThreadPool::Global().InWorker()
+          ? RunHedgedScatter(set, tokens, options, async, ctxs)
+          : RunFlatScatter(*set, tokens, options, ctxs);
+  if (answered != nullptr) {
+    *answered = static_cast<std::size_t>(
+        std::count(outcome.failed.begin(), outcome.failed.end(), 0));
+  }
+
+  // ---- Gather: per-query merge + refine, fanned across queries (inline
+  // for a single query).
   ThreadPool::Global().ParallelFor(
-      num_shards, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) {
-          const int r = PickReplica(*set, s, &skipped[s]);
-          if (r < 0) {
-            shard_down[s] = 1;
-            continue;
+      num_queries, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t q = begin; q < end; ++q) {
+          const std::size_t first = q * num_shards;
+          const std::size_t last = first + num_shards;
+          for (std::size_t i = first; i < last; ++i) {
+            ctxs[q]->stats.Merge(outcome.stats[i]);
+            ctxs[q]->AdoptEarlyExit(outcome.exits[i]);
           }
-          // A failed dispatch (dead remote connection, server-side shed)
-          // degrades like a dead shard: partial result, not a crash.
-          if (!FilterVia(*set, s, static_cast<std::size_t>(r), token, options,
-                         &children[s], &per_shard[s])
-                   .ok()) {
-            shard_down[s] = 1;
+          SearchResult& result = results[q];
+          result = MergeAndRefine(
+              tokens[q], k, settings, k_prime,
+              std::span(outcome.answers).subspan(first, num_shards), ctxs[q]);
+          for (std::size_t i = first; i < last; ++i) {
+            result.counters.filter_seconds += outcome.item_seconds[i];
+            result.counters.hedged_requests += outcome.hedges[i];
+            result.counters.replicas_skipped += outcome.skipped[i];
+            if (outcome.failed[i]) result.partial = true;
           }
+          // Wasted loser work is a batch-wide observation; attribute it to
+          // the first query rather than replicating it Q times.
+          result.counters.hedge_wasted_nodes =
+              q == 0 ? outcome.wasted_nodes : 0;
         }
       });
-  for (const SearchContext& child : children) ctx->MergeChild(child);
-  const double filter_seconds = filter_timer.ElapsedSeconds();
+  return results;
+}
 
-  result = MergeAndRefine(*set, token, k, settings, k_prime,
-                          std::move(per_shard), ctx);
-  result.counters.filter_seconds = filter_seconds;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    result.counters.replicas_skipped += skipped[s];
-    if (shard_down[s]) result.partial = true;
-  }
-  return result;
+ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunFlatScatter(
+    const ShardSet& set, std::span<const QueryToken> tokens,
+    const ShardFilterOptions& options, std::span<SearchContext* const> ctxs) {
+  const std::size_t num_shards = set.groups.size();
+  ScatterOutcome outcome(tokens.size() * num_shards);
+  // Every item is independent, so a small batch still spreads across every
+  // core. Contexts are single-threaded by design: each item scans under its
+  // own Child, and the pipeline merges the stats back.
+  ThreadPool::Global().ParallelFor(
+      outcome.answers.size(), [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::size_t q = i / num_shards;
+          const std::size_t s = i % num_shards;
+          const int r = PickReplica(set, s, &outcome.skipped[i]);
+          if (r < 0) {
+            outcome.failed[i] = 1;
+            continue;
+          }
+          SearchContext ctx = ctxs[q]->Child();
+          Timer item_timer;
+          outcome.failed[i] =
+              !FilterVia(set, s, static_cast<std::size_t>(r), tokens[q],
+                         options, &ctx, &outcome.answers[i])
+                   .ok();
+          outcome.item_seconds[i] = item_timer.ElapsedSeconds();
+          outcome.stats[i] = ctx.stats;
+          outcome.exits[i] = ctx.early_exit();
+        }
+      });
+  return outcome;
 }
 
 ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
     std::shared_ptr<const ShardSet> set, std::span<const QueryToken> tokens,
-    std::span<const ScatterItem> items, const ShardFilterOptions& options,
-    const AsyncOptions& async, SearchContext* parent_ctx) const {
+    const ShardFilterOptions& options, const AsyncOptions& async,
+    std::span<SearchContext* const> ctxs) const {
   ThreadPool& pool = ThreadPool::Global();
-  const std::size_t num_items = items.size();
+  const std::size_t num_shards = set->groups.size();
+  const std::size_t num_items = tokens.size() * num_shards;
   const std::size_t num_replicas = set->num_replicas;
   Runtime* const rt = runtime_.get();
-
-  ScatterOutcome outcome;
-  outcome.answers.resize(num_items);
-  outcome.stats.resize(num_items);
-  outcome.exits.assign(num_items, EarlyExit::kNone);
-  outcome.item_seconds.assign(num_items, 0.0);
-  outcome.hedges.assign(num_items, 0);
+  ScatterOutcome outcome(num_items);
 
   // Everything an abandoned work item may touch after this call returns
   // lives here, behind a shared_ptr: the token copies, the claim flags, the
@@ -1079,6 +1068,7 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
     /// frame on the wire.
     std::atomic<bool> claimed{false};
     bool answered = false;         // guarded by Coordinator::mu
+    bool failed = false;           // the shard did not answer, guarded by mu
     ShardFilterResult answer;      // guarded by mu
     SearchStats stats;             // winner's scan stats, guarded by mu
     EarlyExit exit = EarlyExit::kNone;  // winner's reason, guarded by mu
@@ -1158,11 +1148,13 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
       }
       if (!slot.claimed.exchange(true, std::memory_order_acq_rel)) {
         // First finisher wins — including a failed dispatch (dead remote
-        // connection), which publishes its empty answer so the gather never
-        // hangs; the transport's health flag steers future dispatches away.
+        // connection, server-side shed), which publishes an empty answer
+        // marked failed so the gather never hangs and the query comes back
+        // partial, exactly as the flat dispatch reports it.
         if (!st.ok()) answer = ShardFilterResult{};
         std::lock_guard<std::mutex> lock(co->mu);
         slot.answered = true;
+        slot.failed = !st.ok();
         slot.answer = std::move(answer);
         slot.stats = ctx.stats;
         slot.exit = ctx.early_exit();
@@ -1186,10 +1178,9 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
     }
   };
 
-  const auto make_dispatch = [&](std::size_t item, std::size_t s,
-                                 std::size_t r) {
-    SearchContext ctx =
-        parent_ctx != nullptr ? parent_ctx->Child() : SearchContext{};
+  const auto make_dispatch = [&](std::size_t item, std::size_t r) {
+    const std::size_t s = item % num_shards;
+    SearchContext ctx = ctxs[item / num_shards]->Child();
     if (async.mid_scan_cancel) ctx.AddCancelFlag(&co->slots[item].claimed);
     ReplicaState* const state = &co->set->groups[s]->state[r];
     state->inflight.fetch_add(1, std::memory_order_acq_rel);
@@ -1199,7 +1190,7 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
                     state,
                     rt,
                     item,
-                    items[item].token_index,
+                    item / num_shards,
                     options,
                     std::move(ctx)};
   };
@@ -1209,20 +1200,18 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
   std::vector<std::vector<std::uint8_t>> dispatched(
       num_items, std::vector<std::uint8_t>(num_replicas, 0));
   for (std::size_t i = 0; i < num_items; ++i) {
-    const int r = PickReplica(*set, items[i].shard, &outcome.replicas_skipped);
+    const int r = PickReplica(*set, i % num_shards, &outcome.skipped[i]);
     if (r < 0) {
-      // Callers exclude shards with no live replica, but SetReplicaDown is
-      // an admin knob usable concurrently with serving: the shard's last
-      // replica may have died between the caller's liveness scan and this
-      // dispatch. Degrade like a dead shard — an empty answer — instead of
-      // crashing the server.
+      // No live replica: the shard does not answer and the query is
+      // partial.
       std::lock_guard<std::mutex> lock(co->mu);
       co->slots[i].answered = true;
+      co->slots[i].failed = true;
       --co->pending;
       continue;
     }
     dispatched[i][static_cast<std::size_t>(r)] = 1;
-    pool.Submit(make_dispatch(i, items[i].shard, static_cast<std::size_t>(r)));
+    pool.Submit(make_dispatch(i, static_cast<std::size_t>(r)));
   }
 
   // ---- Gather with hedging: wait in hedge_ms steps; at each missed
@@ -1231,11 +1220,11 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
   // a hedge makes progress even when every pool worker is stuck behind a
   // straggler (including on a single-worker pool); the loser aborts at its
   // next cancellation probe once the inline run claims the slot.
-  const bool hedging = async.hedge_ms > 0.0;
-  const bool has_deadline =
-      parent_ctx != nullptr && parent_ctx->has_deadline();
+  // Every query's context carries the same settings-derived deadline, so
+  // the first one's bounds the gather.
+  const bool has_deadline = ctxs.front()->has_deadline();
   const auto query_deadline = has_deadline
-                                  ? parent_ctx->deadline()
+                                  ? ctxs.front()->deadline()
                                   : SearchContext::Clock::time_point::max();
   {
     std::unique_lock<std::mutex> lock(co->mu);
@@ -1244,7 +1233,7 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
     bool escalation_left = true;
     for (;;) {
       auto wake = query_deadline;
-      if (hedging && escalation_left) {
+      if (escalation_left) {
         const auto hedge_deadline =
             start +
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -1264,10 +1253,10 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
       if (has_deadline && SearchContext::Clock::now() >= query_deadline) {
         // Query deadline: abandon the gather. In-flight dispatches observe
         // the same deadline through their contexts and stop on their own.
-        parent_ctx->ShouldStop();
+        for (SearchContext* ctx : ctxs) ctx->ShouldStop();
         break;
       }
-      if (!hedging || !escalation_left) continue;
+      if (!escalation_left) continue;
 
       // Escalate every unanswered item to its shard's next-best live
       // replica, inline. The lock is dropped while scanning so finishing
@@ -1280,11 +1269,11 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
         int best_load = std::numeric_limits<int>::max();
         std::size_t undispatched_live = 0;
         for (std::size_t r = 0; r < num_replicas; ++r) {
-          if (dispatched[i][r] || ReplicaDown(*set, items[i].shard, r)) {
+          if (dispatched[i][r] || ReplicaDown(*set, i % num_shards, r)) {
             continue;
           }
           ++undispatched_live;
-          const int load = set->groups[items[i].shard]->state[r].inflight.load(
+          const int load = set->groups[i % num_shards]->state[r].inflight.load(
               std::memory_order_acquire);
           if (load < best_load) {
             best_load = load;
@@ -1294,7 +1283,6 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
         if (best < 0) continue;
         dispatched[i][static_cast<std::size_t>(best)] = 1;
         ++outcome.hedges[i];
-        ++outcome.hedged_requests;
         if (undispatched_live > 1) escalation_left = true;
         to_run.emplace_back(i, static_cast<std::size_t>(best));
       }
@@ -1302,7 +1290,7 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
       if (to_run.empty()) continue;
       lock.unlock();
       for (const auto& [item, r] : to_run) {
-        Dispatch hedge = make_dispatch(item, items[item].shard, r);
+        Dispatch hedge = make_dispatch(item, r);
         hedge();
       }
       lock.lock();
@@ -1317,249 +1305,57 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
       outcome.stats[i] = co->slots[i].stats;
       outcome.exits[i] = co->slots[i].exit;
       outcome.item_seconds[i] = co->slots[i].seconds;
+      outcome.failed[i] = co->slots[i].failed ? 1 : 0;
     }
   }
   outcome.wasted_nodes = co->wasted_nodes.load(std::memory_order_acquire);
   return outcome;
 }
 
+SearchResult ShardedCloudServer::Search(const QueryToken& token, std::size_t k,
+                                        const SearchSettings& settings,
+                                        SearchContext* ctx) const {
+  SearchContext local_ctx;
+  if (ctx == nullptr) ctx = &local_ctx;
+  return std::move(RunPipeline(std::span(&token, 1), k, settings,
+                               AsyncOptions{.hedge_ms = 0.0},
+                               std::span(&ctx, 1))
+                       .front());
+}
+
 Result<SearchResult> ShardedCloudServer::SearchAsync(
     const QueryToken& token, std::size_t k, const SearchSettings& settings,
     const AsyncOptions& async, SearchContext* ctx) const {
-  ThreadPool& pool = ThreadPool::Global();
-  if (pool.InWorker()) {
-    // The gather thread doubles as the inline hedge executor; a pool worker
-    // cannot play that role for itself, so fall back to the inline
-    // synchronous scatter (ParallelFor's nested rule), which already avoids
-    // the straggler wait across *queries* at the batch level.
-    SearchResult result = Search(token, k, settings, ctx);
-    if (result.partial && !async.allow_partial) {
-      return Status::FailedPrecondition(
-          "SearchAsync: a shard has no live replica and partial results are "
-          "disabled");
-    }
-    return result;
-  }
-
-  SearchResult result;
-  if (k == 0 || size() == 0) return result;
   SearchContext local_ctx;
   if (ctx == nullptr) ctx = &local_ctx;
-  ApplyContextSettings(ctx, settings);
-  const std::size_t k_prime = ResolveKPrime(settings, k);
-
-  const std::shared_ptr<const ShardSet> set = set_->Pin();
-  const std::size_t num_shards = set->groups.size();
-
-  // Resolve serveable shards; dead shards are excluded from the scatter.
-  std::vector<ScatterItem> items;
-  std::vector<int> item_of_shard(num_shards, -1);
-  items.reserve(num_shards);
-  bool partial = false;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (FirstLiveReplica(*set, s) < 0) {
-      partial = true;
-      continue;
-    }
-    item_of_shard[s] = static_cast<int>(items.size());
-    items.push_back(ScatterItem{0, s});
-  }
-  if (items.empty()) {
+  std::size_t answered = 0;
+  SearchResult result = std::move(
+      RunPipeline(std::span(&token, 1), k, settings, async, std::span(&ctx, 1),
+                  &answered)
+          .front());
+  if (result.partial && answered == 0) {
     return Status::FailedPrecondition(
-        "SearchAsync: every replica of every shard is down");
+        "SearchAsync: no shard answered (every replica down or every "
+        "dispatch failed)");
   }
-  if (partial && !async.allow_partial) {
+  if (result.partial && !async.allow_partial) {
     return Status::FailedPrecondition(
-        "SearchAsync: a shard has no live replica and partial results are "
+        "SearchAsync: a shard did not answer and partial results are "
         "disabled");
   }
-
-  Timer filter_timer;
-  ScatterOutcome outcome =
-      RunHedgedScatter(set, std::span(&token, 1), items,
-                       MakeFilterOptions(k_prime, settings), async, ctx);
-  const double filter_seconds = filter_timer.ElapsedSeconds();
-
-  std::vector<ShardFilterResult> per_shard(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (item_of_shard[s] < 0) continue;
-    const std::size_t i = static_cast<std::size_t>(item_of_shard[s]);
-    per_shard[s] = std::move(outcome.answers[i]);
-    ctx->stats.Merge(outcome.stats[i]);
-    ctx->AdoptEarlyExit(outcome.exits[i]);
-  }
-
-  result = MergeAndRefine(*set, token, k, settings, k_prime,
-                          std::move(per_shard), ctx);
-  result.counters.filter_seconds = filter_seconds;
-  result.counters.hedged_requests = outcome.hedged_requests;
-  result.counters.replicas_skipped = outcome.replicas_skipped;
-  result.counters.hedge_wasted_nodes = outcome.wasted_nodes;
-  result.partial = partial;
   return result;
 }
 
-std::vector<SearchResult> ShardedCloudServer::SearchBatchScattered(
-    std::span<const QueryToken> tokens, std::size_t k,
-    const SearchSettings& settings) const {
-  const std::size_t num_queries = tokens.size();
-  std::vector<SearchResult> results(num_queries);
-  if (num_queries == 0 || k == 0 || size() == 0) return results;
-  const std::size_t k_prime = ResolveKPrime(settings, k);
-  const ShardFilterOptions options = MakeFilterOptions(k_prime, settings);
-
-  const std::shared_ptr<const ShardSet> set = set_->Pin();
-  const std::size_t num_shards = set->groups.size();
-
-  // Per-query contexts: the deadline/budget knobs bound every query of the
-  // batch independently; stats land in that query's counters.
-  std::vector<SearchContext> query_ctx(num_queries);
-  for (SearchContext& ctx : query_ctx) ApplyContextSettings(&ctx, settings);
-
-  // Resolve the serving replica of every shard once per batch (load-aware;
-  // on an idle cluster this is the first live replica, as before).
-  std::vector<int> serving(num_shards, -1);
-  std::size_t skipped = 0;
-  bool partial = false;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    serving[s] = PickReplica(*set, s, &skipped);
-    if (serving[s] < 0) partial = true;
-  }
-
-  // ---- Phase 1: one flat fan-out over all Q*S (query, shard) work items.
-  // Work item (q, s) is independent of every other, so a small batch still
-  // spreads across every core instead of leaving (cores - Q) idle. Each
-  // item scans under a Child of its query's context.
-  std::vector<std::vector<ShardFilterResult>> candidates(num_queries);
-  for (auto& per_query : candidates) per_query.resize(num_shards);
-  std::vector<double> item_seconds(num_queries * num_shards, 0.0);
-  std::vector<SearchContext> item_ctx;
-  item_ctx.reserve(num_queries * num_shards);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      item_ctx.push_back(query_ctx[q].Child());
-    }
-  }
-  ThreadPool::Global().ParallelFor(
-      num_queries * num_shards, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t item = begin; item < end; ++item) {
-          const std::size_t q = item / num_shards;
-          const std::size_t s = item % num_shards;
-          if (serving[s] < 0) continue;
-          Timer item_timer;
-          // A failed dispatch leaves this (query, shard) answer empty — the
-          // merge degrades like a dead shard.
-          static_cast<void>(FilterVia(*set, s,
-                                      static_cast<std::size_t>(serving[s]),
-                                      tokens[q], options, &item_ctx[item],
-                                      &candidates[q][s]));
-          item_seconds[item] = item_timer.ElapsedSeconds();
-        }
-      });
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      query_ctx[q].MergeChild(item_ctx[q * num_shards + s]);
-    }
-  }
-
-  // ---- Phase 2: per-query merge + refine, fanned across queries.
-  ThreadPool::Global().ParallelFor(
-      num_queries, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t q = begin; q < end; ++q) {
-          results[q] = MergeAndRefine(*set, tokens[q], k, settings, k_prime,
-                                      std::move(candidates[q]), &query_ctx[q]);
-          double filter_seconds = 0.0;
-          for (std::size_t s = 0; s < num_shards; ++s) {
-            filter_seconds += item_seconds[q * num_shards + s];
-          }
-          results[q].counters.filter_seconds = filter_seconds;
-          results[q].counters.replicas_skipped = skipped;
-          results[q].partial = partial;
-        }
-      });
-  return results;
-}
-
-std::vector<SearchResult> ShardedCloudServer::SearchBatchScattered(
+std::vector<SearchResult> ShardedCloudServer::SearchBatch(
     std::span<const QueryToken> tokens, std::size_t k,
     const SearchSettings& settings, const AsyncOptions& async) const {
-  // Hedging needs this thread as the gather/inline-hedge executor; from a
-  // pool worker (or with hedging off) the flat ParallelFor path serves.
-  if (async.hedge_ms <= 0.0 || ThreadPool::Global().InWorker()) {
-    return SearchBatchScattered(tokens, k, settings);
-  }
-  const std::size_t num_queries = tokens.size();
-  std::vector<SearchResult> results(num_queries);
-  if (num_queries == 0 || k == 0 || size() == 0) return results;
-  const std::size_t k_prime = ResolveKPrime(settings, k);
-
-  const std::shared_ptr<const ShardSet> set = set_->Pin();
-  const std::size_t num_shards = set->groups.size();
-
-  std::vector<SearchContext> query_ctx(num_queries);
-  for (SearchContext& ctx : query_ctx) ApplyContextSettings(&ctx, settings);
-
-  // Dead shards are excluded once for the whole batch.
-  bool partial = false;
-  std::vector<char> shard_live(num_shards, 0);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (FirstLiveReplica(*set, s) >= 0) {
-      shard_live[s] = 1;
-    } else {
-      partial = true;
-    }
-  }
-
-  // All Q*S (query, live shard) work items through the same hedged
-  // claim-flag scatter SearchAsync uses — one coordinator, one gather.
-  std::vector<ScatterItem> items;
-  items.reserve(num_queries * num_shards);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (shard_live[s]) items.push_back(ScatterItem{q, s});
-    }
-  }
-  if (items.empty()) return results;
-
-  // The batch shares one deadline context source: every query's context
-  // carries the same settings-derived deadline, so the first query's stands
-  // in for the gather bound.
-  ScatterOutcome outcome =
-      RunHedgedScatter(set, tokens, items, MakeFilterOptions(k_prime, settings),
-                       async, &query_ctx.front());
-
-  std::vector<std::vector<ShardFilterResult>> candidates(num_queries);
-  for (auto& per_query : candidates) per_query.resize(num_shards);
-  std::vector<std::size_t> hedges_per_query(num_queries, 0);
-  std::vector<double> seconds_per_query(num_queries, 0.0);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    candidates[items[i].token_index][items[i].shard] =
-        std::move(outcome.answers[i]);
-    query_ctx[items[i].token_index].stats.Merge(outcome.stats[i]);
-    query_ctx[items[i].token_index].AdoptEarlyExit(outcome.exits[i]);
-    hedges_per_query[items[i].token_index] += outcome.hedges[i];
-    // Per-query attribution from the winning dispatches, matching the
-    // unhedged path's item_seconds accounting (not the batch wall time,
-    // which would inflate BatchCounters totals Q-fold).
-    seconds_per_query[items[i].token_index] += outcome.item_seconds[i];
-  }
-
-  ThreadPool::Global().ParallelFor(
-      num_queries, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t q = begin; q < end; ++q) {
-          results[q] = MergeAndRefine(*set, tokens[q], k, settings, k_prime,
-                                      std::move(candidates[q]), &query_ctx[q]);
-          results[q].counters.filter_seconds = seconds_per_query[q];
-          results[q].counters.replicas_skipped = outcome.replicas_skipped;
-          results[q].counters.hedged_requests = hedges_per_query[q];
-          // Wasted loser work is a batch-wide observation; attribute it to
-          // the batch's first result rather than replicating it Q times.
-          results[q].counters.hedge_wasted_nodes =
-              q == 0 ? outcome.wasted_nodes : 0;
-          results[q].partial = partial;
-        }
-      });
-  return results;
+  // Per-query contexts: the deadline/budget knobs bound every query of the
+  // batch independently; stats land in that query's counters.
+  std::vector<SearchContext> query_ctx(tokens.size());
+  std::vector<SearchContext*> ctxs;
+  ctxs.reserve(tokens.size());
+  for (SearchContext& ctx : query_ctx) ctxs.push_back(&ctx);
+  return RunPipeline(tokens, k, settings, async, ctxs);
 }
 
 Result<VectorId> ShardedCloudServer::Insert(const EncryptedVector& v) {

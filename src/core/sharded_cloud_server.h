@@ -60,19 +60,19 @@
 
 namespace ppanns {
 
-/// Knobs of the asynchronous scatter-gather path (SearchAsync and the
-/// hedged SearchBatchScattered overload).
+/// Knobs of the hedged dispatch strategy (SearchAsync and SearchBatch).
 struct AsyncOptions {
   /// Hedging deadline in milliseconds. When a work item has not answered
   /// this long after the scatter, the same work is dispatched to the
   /// shard's next-best live replica and the first answer wins; every
   /// further multiple of the deadline escalates to the replica after that.
-  /// <= 0 disables hedging (the gather waits on the initial dispatch only).
+  /// <= 0 disables hedging: the call runs the flat dispatch Search uses.
   double hedge_ms = 5.0;
-  /// What to do when every replica of a shard is down: true serves the
-  /// remaining shards and sets SearchResult::partial; false fails the whole
-  /// query with FailedPrecondition. A query is always failed when *no* shard
-  /// has a live replica.
+  /// SearchAsync's Status policy for a shard that did not answer (no live
+  /// replica, or its dispatch failed): true serves the remaining shards and
+  /// sets SearchResult::partial; false fails the whole query with
+  /// FailedPrecondition. SearchAsync always fails when *no* shard answered.
+  /// Search and SearchBatch never fail for it: they flag the result partial.
   bool allow_partial = true;
   /// Thread the hedge claim flag into every work item's SearchContext so a
   /// lost hedge aborts *mid-scan* (and mid-injected-delay) at its next
@@ -86,10 +86,13 @@ struct AsyncOptions {
 
 /// The sharded, replicated serving tier: scatter-gathers Algorithm 2 across
 /// S shards of R byte-identical replicas each, behind the single-shard
-/// result contract. Offers a synchronous barrier gather (Search), an async
-/// hedged gather that hides stragglers (SearchAsync), and a batch-level
-/// (query, shard) fan-out (SearchBatchScattered); fails over on replica
-/// loss with identical result ids; and keeps itself healthy under churn via
+/// result contract. Search, SearchAsync and SearchBatch are thin wrappers
+/// over one pipeline: plan the (query, shard) work items, dispatch them,
+/// merge/refine per query. Dispatch has two strategies — a flat barrier
+/// fan-out, or the hedged claim-flag coordinator that hides stragglers
+/// (AsyncOptions::hedge_ms > 0, off pool workers) — and a shard that did not
+/// answer makes the query partial under both. Fails over on replica loss
+/// with identical result ids, and keeps itself healthy under churn via
 /// epoch-swapped tombstone compaction and shard splits.
 class ShardedCloudServer {
  public:
@@ -169,14 +172,15 @@ class ShardedCloudServer {
   ShardedCloudServer(ShardedCloudServer&&) noexcept;
   ShardedCloudServer& operator=(ShardedCloudServer&&) noexcept;
 
-  /// Algorithm 2 over every shard, merged through one DCE heap. Synchronous:
-  /// the scatter still fans across the pool (inline inside a batch worker)
-  /// but the gather is a barrier — one slow replica stalls the query, which
-  /// is exactly what SearchAsync exists to avoid. Dispatch is load-aware:
-  /// each shard serves from its least-inflight live replica (ties go to the
-  /// lowest replica id, so an idle cluster behaves like the old
-  /// first-live-in-order rule); a shard with no live replica is excluded and
-  /// the result is marked partial. Thread-safe for concurrent const calls,
+  /// Algorithm 2 over every shard, merged through one DCE heap: the pipeline
+  /// with one token and no hedge. The scatter fans across the pool (inline
+  /// inside a pool worker) but the gather is a barrier — one slow replica
+  /// stalls the query, which is exactly what SearchAsync exists to avoid.
+  /// Dispatch is load-aware: each shard serves from its least-inflight live
+  /// replica (ties go to the lowest replica id, so an idle cluster behaves
+  /// like the old first-live-in-order rule); a shard with no live replica,
+  /// or whose dispatch fails, is left out and the result is marked partial
+  /// — never a Status. Thread-safe for concurrent const calls,
   /// like CloudServer::Search — including concurrently with a compaction or
   /// split swap (the query pins the pre-swap set and finishes on it). The
   /// `ctx` overload threads the caller's SearchContext into every per-shard
@@ -189,19 +193,19 @@ class ShardedCloudServer {
   SearchResult Search(const QueryToken& token, std::size_t k,
                       const SearchSettings& settings, SearchContext* ctx) const;
 
-  /// The asynchronous serving path: fans (query, shard-replica) work items
-  /// across the global ThreadPool, hedges shards that miss
-  /// `async.hedge_ms` onto their next-best live replica (first answer
-  /// wins), and merges through the same DCE heap as Search. Hedge
-  /// dispatches run inline on the gather thread — which was otherwise
-  /// idle-waiting — so a hedge makes progress even when every pool worker
-  /// is stuck behind a straggler. A lost hedge aborts mid-scan through the
-  /// claim flag in its SearchContext (AsyncOptions::mid_scan_cancel).
-  /// Results are identical to Search on a healthy cluster — replicas are
-  /// byte-identical, so *which* replica answers never changes the ids.
-  /// Degrades per AsyncOptions when every replica of a shard is down; fails
-  /// with FailedPrecondition when no shard is serveable. Falls back to the
-  /// inline synchronous scatter when called from a pool worker.
+  /// The pipeline with one token, hedged: work items go to the global
+  /// ThreadPool, shards that miss `async.hedge_ms` are hedged onto their
+  /// next-best live replica (first answer wins), and the answers merge
+  /// through the same DCE heap as Search. Hedge dispatches run inline on
+  /// the gather thread — which was otherwise idle-waiting — so a hedge makes
+  /// progress even when every pool worker is stuck behind a straggler. A
+  /// lost hedge aborts mid-scan through the claim flag in its SearchContext
+  /// (AsyncOptions::mid_scan_cancel). Results are identical to Search on a
+  /// healthy cluster — replicas are byte-identical, so *which* replica
+  /// answers never changes the ids. From a pool worker (which cannot double
+  /// as the hedge executor) or with hedge_ms <= 0 it runs the flat dispatch.
+  /// Status policy, the same on every calling thread: FailedPrecondition
+  /// when no shard answered, or when one did not and !async.allow_partial.
   Result<SearchResult> SearchAsync(const QueryToken& token, std::size_t k,
                                    const SearchSettings& settings = {},
                                    const AsyncOptions& async = {}) const {
@@ -212,28 +216,17 @@ class ShardedCloudServer {
                                    const AsyncOptions& async,
                                    SearchContext* ctx) const;
 
-  /// Batch-level scatter: fans Q*S (query, shard) filter work items across
-  /// the pool in one flat ParallelFor, then merges/refines per query — for
-  /// small batches on many-core hosts this keeps every core busy where the
-  /// per-query fan-out would leave (cores - S) idle. Results are identical
-  /// to a sequential Search loop over the tokens (same candidates, same
-  /// merge order); per-query filter_seconds is attributed from the
-  /// (query, shard) items of that query. Honors the settings' deadline/node
-  /// budget per query through per-item contexts.
-  std::vector<SearchResult> SearchBatchScattered(
-      std::span<const QueryToken> tokens, std::size_t k,
-      const SearchSettings& settings = {}) const;
-
-  /// Hedged batch scatter: the same Q*S fan-out, but every (query, shard)
-  /// work item goes through the hedged claim-flag machinery SearchAsync
-  /// uses — items that miss `async.hedge_ms` are re-dispatched to the
-  /// shard's next-best live replica, first answer wins, losers abort
-  /// mid-scan. Ids are identical to the unhedged overload. Falls back to
-  /// the unhedged path when hedging is disabled or when called from a pool
-  /// worker.
-  std::vector<SearchResult> SearchBatchScattered(
-      std::span<const QueryToken> tokens, std::size_t k,
-      const SearchSettings& settings, const AsyncOptions& async) const;
+  /// The pipeline over a batch: all Q*S (query, shard) work items dispatch
+  /// together — flat when async.hedge_ms <= 0 or from a pool worker, hedged
+  /// otherwise — then merge/refine per query. For small batches on
+  /// many-core hosts this keeps every core busy where per-query fan-out
+  /// would leave (cores - S) idle. Ids are identical to a sequential Search
+  /// loop over the tokens; a shard that did not answer marks that query
+  /// partial. Honors the settings' deadline/node budget per query.
+  std::vector<SearchResult> SearchBatch(std::span<const QueryToken> tokens,
+                                        std::size_t k,
+                                        const SearchSettings& settings,
+                                        const AsyncOptions& async) const;
 
   /// Links a freshly encrypted vector into every replica of the least-loaded
   /// shard and returns its dense *global* id. Serialized against maintenance
@@ -406,12 +399,6 @@ class ShardedCloudServer {
   /// transport can no longer reach it; failover treats both identically.
   static bool ReplicaDown(const ShardSet& set, std::size_t s, std::size_t r);
 
-  /// First live replica of shard s in replica order, or -1 if all are down.
-  /// `skipped`, when non-null, accumulates how many down replicas were
-  /// passed over.
-  static int FirstLiveReplica(const ShardSet& set, std::size_t s,
-                              std::size_t* skipped = nullptr);
-
   /// Load-aware dispatch: the least-inflight live replica of shard s (ties
   /// to the lowest replica id), or -1 if all are down. `skipped` accumulates
   /// the down replicas ahead of the first live one, preserving the
@@ -429,61 +416,69 @@ class ShardedCloudServer {
                           const ShardFilterOptions& options, SearchContext* ctx,
                           ShardFilterResult* out);
 
-  /// The per-scan knobs every dispatch of a query shares. want_dce is set
-  /// only on remote servers with refinement on — a local gather reads
-  /// ciphertexts in place.
-  ShardFilterOptions MakeFilterOptions(std::size_t k_prime,
-                                       const SearchSettings& settings) const;
-
-  /// The gather + refine shared by every search path: merges per-shard
-  /// global-id candidates to the SAP-top-k', then (unless settings.refine is
-  /// off) streams them through one DCE ComparisonHeap, probing `ctx`
-  /// between comparisons. A local server resolves ciphertexts through the
-  /// pinned set's manifest; a remote one refines over the ciphertexts
-  /// shipped in the per-shard answers. Fills ids, filter_candidates,
-  /// dce_comparisons, refine_seconds, and the context-derived counters.
-  SearchResult MergeAndRefine(const ShardSet& set, const QueryToken& token,
-                              std::size_t k, const SearchSettings& settings,
-                              std::size_t k_prime,
-                              std::vector<ShardFilterResult> per_shard,
-                              SearchContext* ctx) const;
-
-  /// One hedged work item: tokens[token_index] scattered to `shard`.
-  struct ScatterItem {
-    std::size_t token_index = 0;
-    std::size_t shard = 0;
-  };
-  /// What a hedged scatter produced, indexed like `items`.
+  /// What a dispatch strategy produced for the Q*S work items of a batch —
+  /// item i is tokens[i / S] scattered to shard i % S. Both strategies fill
+  /// the same shape.
   struct ScatterOutcome {
+    explicit ScatterOutcome(std::size_t num_items)
+        : answers(num_items),
+          stats(num_items),
+          exits(num_items, EarlyExit::kNone),
+          item_seconds(num_items, 0.0),
+          hedges(num_items, 0),
+          skipped(num_items, 0),
+          failed(num_items, 0) {}
     std::vector<ShardFilterResult> answers;  ///< global-id candidates (+ DCE)
     std::vector<SearchStats> stats;          ///< the winning scan's stats
-    std::vector<EarlyExit> exits;                ///< the winning scan's reason
-    std::vector<double> item_seconds;            ///< winning dispatch's time
-    std::vector<std::size_t> hedges;             ///< hedge dispatches per item
-    std::size_t hedged_requests = 0;             ///< sum of `hedges`
-    std::size_t replicas_skipped = 0;
+    std::vector<EarlyExit> exits;            ///< the winning scan's reason
+    std::vector<double> item_seconds;        ///< winning dispatch's time
+    std::vector<std::size_t> hedges;         ///< hedge dispatches per item
+    /// Down replicas passed over ahead of the first live one.
+    std::vector<std::size_t> skipped;
+    /// 1 when the shard did not answer: no live replica was left, or the
+    /// winning dispatch's Filter returned non-OK. Makes the query partial.
+    std::vector<char> failed;
     /// Loser nodes observed by the time the gather finished (late losers
     /// land only in the Runtime-wide cumulative counters).
     std::size_t wasted_nodes = 0;
   };
 
-  /// The hedged claim-flag scatter shared by SearchAsync (one item per
-  /// shard) and the hedged SearchBatchScattered (one item per query-shard
-  /// pair). Dispatches every item to its load-aware replica on the pool,
-  /// escalates items that miss async.hedge_ms to the shard's next-best live
-  /// replica *inline on the gather thread*, and aborts losers mid-scan via
-  /// the claim flag when async.mid_scan_cancel is set. The coordinator
-  /// keeps `set` pinned until the last loser finishes, so a compaction swap
-  /// mid-query can never free state a straggler still reads. `parent_ctx`
-  /// contributes the deadline and external cancellation flags every work
-  /// item inherits (Child contexts); its own stats are not written. Items
-  /// must target shards with at least one live replica.
+  /// The one search pipeline behind Search, SearchAsync and SearchBatch:
+  /// plans the Q*S (query, shard) items over one pinned ShardSet, dispatches
+  /// them — hedged when async.hedge_ms > 0 and the caller is not a pool
+  /// worker, flat otherwise — and merges/refines per query. ctxs[q] is
+  /// query q's context (settings applied here; stats merge into it).
+  /// `answered`, when non-null, receives how many items did answer.
+  std::vector<SearchResult> RunPipeline(std::span<const QueryToken> tokens,
+                                        std::size_t k,
+                                        const SearchSettings& settings,
+                                        const AsyncOptions& async,
+                                        std::span<SearchContext* const> ctxs,
+                                        std::size_t* answered = nullptr) const;
+
+  /// Flat dispatch: one ParallelFor over the items; each picks its
+  /// load-aware replica at dispatch time and scans under a Child of its
+  /// query's context. The caller's tokens pass to the transports by
+  /// reference. A barrier: returns when every item has finished.
+  static ScatterOutcome RunFlatScatter(const ShardSet& set,
+                                       std::span<const QueryToken> tokens,
+                                       const ShardFilterOptions& options,
+                                       std::span<SearchContext* const> ctxs);
+
+  /// Hedged dispatch: every item goes to its load-aware replica on the
+  /// pool; items that miss async.hedge_ms escalate to the shard's next-best
+  /// live replica *inline on the gather thread*, and losers abort mid-scan
+  /// via the claim flag when async.mid_scan_cancel is set. The coordinator
+  /// keeps `set` pinned (and copies the tokens) until the last loser
+  /// finishes, so a compaction swap mid-query can never free state a
+  /// straggler still reads. Each item's context is a Child of its query's
+  /// (deadline and external cancellation flags); ctxs.front()'s deadline
+  /// bounds the gather.
   ScatterOutcome RunHedgedScatter(std::shared_ptr<const ShardSet> set,
                                   std::span<const QueryToken> tokens,
-                                  std::span<const ScatterItem> items,
                                   const ShardFilterOptions& options,
                                   const AsyncOptions& async,
-                                  SearchContext* parent_ctx) const;
+                                  std::span<SearchContext* const> ctxs) const;
 
   /// CompactShard/SplitShard bodies, caller holds the maintenance mutex.
   Status CompactShardLocked(std::size_t s, std::size_t build_threads);

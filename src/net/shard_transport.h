@@ -12,10 +12,10 @@
 //    bound the scan (locally via CancelProbe, remotely via the rebased
 //    budget and the CANCEL frame), and its SearchStats accumulate the work
 //    the scan actually did, local or remote;
-//  * when `want_dce` is set, the candidates' DCE ciphertexts come back
-//    alongside (a remote gather node holds no shard data, so the refine
-//    phase needs them shipped; local transports skip this — the gather reads
-//    the ciphertexts in place).
+//  * when `want_dce` is set, the answer gives access to every candidate's
+//    DCE ciphertext (ShardFilterResult::ciphertext): an in-process transport
+//    points into its replica's own array, a remote one ships copies — so the
+//    refine phase never asks where a candidate lives.
 
 #ifndef PPANNS_NET_SHARD_TRANSPORT_H_
 #define PPANNS_NET_SHARD_TRANSPORT_H_
@@ -37,8 +37,8 @@ namespace ppanns {
 struct ShardFilterOptions {
   std::size_t k_prime = 0;
   std::size_t ef_search = 0;  ///< 0 = backend default
-  /// Ship the candidates' DCE ciphertexts back with the answer. Local
-  /// transports ignore this (the gather reads ciphertexts in place).
+  /// Give access to the candidates' DCE ciphertexts with the answer
+  /// (the refine phase needs them; a filter-only search does not).
   bool want_dce = false;
   /// Admission floor in milliseconds, forwarded so a remote server can shed
   /// a scan whose deadline budget cannot cover it (kResourceExhausted)
@@ -50,12 +50,23 @@ struct ShardFilterOptions {
 struct ShardFilterResult {
   /// The replica's top-k' in global ids, best first.
   std::vector<Neighbor> candidates;
-  /// DCE ciphertexts aligned with `candidates` when want_dce was honored;
-  /// empty otherwise.
+  /// DCE ciphertexts aligned with `candidates`, shipped over the wire when
+  /// want_dce was honored by a remote replica; empty otherwise.
   std::vector<DceCiphertext> dce;
+  /// Pointers into an in-process replica's own ciphertext array, aligned
+  /// with `candidates` when want_dce was honored — no bytes copied. Valid
+  /// while the serving state the scan ran on stays pinned.
+  std::vector<const DceCiphertext*> dce_refs;
   /// True when a filter scan actually started (false: cancelled or shed
   /// before any work — nothing to account as wasted).
   bool scanned = false;
+
+  /// Candidate i's DCE ciphertext, wherever it lives (in place or shipped),
+  /// or nullptr when the answer carries none.
+  const DceCiphertext* ciphertext(std::size_t i) const {
+    if (i < dce_refs.size()) return dce_refs[i];
+    return i < dce.size() ? &dce[i] : nullptr;
+  }
 };
 
 /// One dispatchable shard replica. Implementations must be safe for
@@ -66,7 +77,7 @@ class ShardTransport {
 
   /// Runs one filter scan. A non-OK Status means the scan could not run or
   /// finish (dead connection, server-side shed); `out` is then empty and the
-  /// caller treats the dispatch like a cancelled one. Cooperative stops
+  /// shard counts as missing: the result is partial. Cooperative stops
   /// (deadline, cancellation, budget) are NOT errors: the partial answer
   /// returns OK and `ctx` carries the early-exit reason and stats.
   virtual Status Filter(const QueryToken& token,
