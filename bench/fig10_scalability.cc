@@ -67,8 +67,9 @@ ShardPoint MeasureSharded(const Dataset& dataset, double beta, double scale,
   Timer build;
   PpannsService service =
       num_shards == 1
-          ? PpannsService{CloudServer(
-                owner->EncryptAndIndexParallel(dataset.base))}
+          ? PpannsService{ShardedCloudServer(
+                ShardedEncryptedDatabase::FromSingleShard(
+                    owner->EncryptAndIndexParallel(dataset.base)))}
           : PpannsService{ShardedCloudServer(
                 owner->EncryptAndIndexSharded(dataset.base))};
   point.build_seconds = build.ElapsedSeconds();

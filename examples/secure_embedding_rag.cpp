@@ -41,8 +41,10 @@ int main() {
   auto owner = DataOwner::Create(dim, params);
   if (!owner.ok()) return 1;
   // The validated serving facade — malformed tokens come back as Status,
-  // batches fan across the thread pool.
-  PpannsService service{CloudServer(owner->EncryptAndIndex(ds.base))};
+  // batches fan across the thread pool. A single-shard package serves as a
+  // one-shard set.
+  PpannsService service{ShardedCloudServer(
+      ShardedEncryptedDatabase::FromSingleShard(owner->EncryptAndIndex(ds.base)))};
   QueryClient client(owner->ShareKeys(), /*seed=*/21);
   std::vector<QueryToken> tokens = EncryptQueries(client, ds.queries);
 

@@ -1,5 +1,7 @@
 #include "common/search_context.h"
 
+#include <thread>
+
 #include "common/status.h"
 
 namespace ppanns {
@@ -40,6 +42,13 @@ void SearchContext::AddCancelFlag(const std::atomic<bool>* flag) {
   // overflowing them is a programmer error (collapse flags before
   // registering), not a load-dependent condition.
   PPANNS_CHECK(false);
+}
+
+void InterruptibleDelay(int delay_ms, SearchContext* ctx) {
+  for (int slice = 0; slice < delay_ms; ++slice) {
+    if (ctx != nullptr && ctx->ShouldStop(ctx->stats.nodes_visited)) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 }  // namespace ppanns

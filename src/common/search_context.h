@@ -218,6 +218,12 @@ class SearchContext {
   EarlyExit early_exit_ = EarlyExit::kNone;
 };
 
+/// Simulated straggler: an injected filter latency served in 1 ms slices,
+/// so a cancelled scan (lost hedge, expired deadline, CANCEL frame) wakes
+/// out of it at the next slice instead of sleeping uselessly to the end.
+/// Shared by the in-process replica transport and the shard server.
+void InterruptibleDelay(int delay_ms, SearchContext* ctx);
+
 /// The hot-loop companion: one CancelProbe per scan, one ShouldStop call per
 /// loop step. Free when the context is null; otherwise the budget is checked
 /// exactly and the flags/deadline every kCancelCheckStride steps.

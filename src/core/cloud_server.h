@@ -8,6 +8,7 @@
 #define PPANNS_CORE_CLOUD_SERVER_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/search_context.h"
@@ -121,6 +122,23 @@ struct SearchResult {
   bool partial = false;
   SearchCounters counters;
 };
+
+/// The refine phase of Algorithm 2 (lines 2-9) — the one DCE refine loop,
+/// shared by CloudServer and the sharded gather. `ids` are the filter
+/// phase's candidates in SAP rank order; `ciphertexts[i]` is candidate i's
+/// DCE ciphertext (null = none shipped: skipped, so the comparator never
+/// faults). With settings.refine the candidates stream, in order, through
+/// one comparison-only ComparisonHeap and the k nearest come back nearest
+/// first; without it (the Fig. 4/6 filter-only baseline) the first k SAP
+/// ids are final and `ciphertexts` may be empty. `ctx` is probed per
+/// candidate: cancellation or the deadline abandons the rest, a spent node
+/// budget does not. Fills ids, filter_candidates, dce_comparisons (also
+/// added to ctx->stats), refine_seconds and the context-derived counters.
+SearchResult RefineCandidates(const QueryToken& token, std::size_t k,
+                              const SearchSettings& settings,
+                              std::span<const VectorId> ids,
+                              std::span<const DceCiphertext* const> ciphertexts,
+                              SearchContext* ctx);
 
 /// The paper-faithful cloud-server core: one encrypted database, one query
 /// at a time, trusting its inputs (PpannsService adds validation and

@@ -1,9 +1,10 @@
-// PpannsService — the serving facade over a CloudServer or a
-// ShardedCloudServer.
+// PpannsService — the serving facade over the one serving engine, a
+// ShardedCloudServer. A single-shard package is a 1x1 set (see
+// ShardedEncryptedDatabase::Deserialize), so there is no separate unsharded
+// topology.
 //
-// The server cores are paper-faithful: they trust their inputs (malformed
-// tokens are programmer errors) and answer one query at a time. The service
-// wraps either topology behind one validated API:
+// The server core is paper-faithful: it trusts its inputs (malformed tokens
+// are programmer errors). The service wraps it behind one validated API:
 //  * input validation — dimension mismatches, k = 0, an empty database, a
 //    malformed trapdoor, or a mis-shaped insert come back as Status instead
 //    of undefined behavior;
@@ -11,9 +12,9 @@
 //    ThreadPool and aggregates per-query counters into a BatchCounters
 //    summary, returning results bitwise identical to a sequential loop;
 //  * topology transparency — Search/SearchBatch/Insert/Delete behave
-//    identically over one index or over S shards (inserts route to the
-//    least-loaded shard, deletes resolve through the manifest), so scaling
-//    out is a deployment decision, not an API change;
+//    identically over one shard, S local shards or remote shards (inserts
+//    route to the least-loaded shard, deletes resolve through the
+//    manifest), so scaling out is a deployment decision, not an API change;
 //  * durability — with a WAL attached (AttachWal), every accepted mutation
 //    is logged before it is applied, Checkpoint snapshots atomically and
 //    truncates the log, and ReplayWal reconstructs a crashed process's
@@ -23,17 +24,16 @@
 #define PPANNS_CORE_PPANNS_SERVICE_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/search_context.h"
 #include "common/status.h"
 #include "common/wal.h"
-#include "core/cloud_server.h"
 #include "core/result_cache.h"
 #include "core/sharded_cloud_server.h"
 
@@ -68,15 +68,14 @@ struct BatchSearchResult {
   BatchCounters counters;
 };
 
-/// The validated, batched serving facade over either server topology (one
-/// CloudServer or a ShardedCloudServer). Turns malformed input into Status
-/// instead of undefined behavior, fans batches across the global
-/// ThreadPool, exposes the async hedged path on sharded deployments, and
+/// The validated, batched serving facade over a ShardedCloudServer (local
+/// shards, remote shards, or the 1x1 set a single-shard package loads as).
+/// Turns malformed input into Status instead of undefined behavior, fans
+/// batches across the global ThreadPool, exposes the async hedged path, and
 /// keeps Search/SearchBatch/Insert/Delete semantics identical across
 /// topologies — scaling out is a deployment decision, not an API change.
 class PpannsService {
  public:
-  explicit PpannsService(CloudServer server) : server_(std::move(server)) {}
   explicit PpannsService(ShardedCloudServer server)
       : server_(std::move(server)) {}
 
@@ -100,14 +99,13 @@ class PpannsService {
                               const SearchSettings& settings,
                               SearchContext* ctx) const;
 
-  /// Validated asynchronous search. On a sharded topology this is the
-  /// latency-hiding path: (query, shard-replica) work items fan across the
-  /// ThreadPool, shards that miss `async.hedge_ms` are hedged onto their
-  /// next live replica (first answer wins), and a shard that did not
-  /// answer (no live replica, or a failed dispatch) degrades per
-  /// AsyncOptions (partial flag or Status). On the
-  /// single-index topology it behaves exactly like Search (there is nothing
-  /// to hedge). Result ids are identical to Search on a healthy cluster.
+  /// Validated asynchronous search — the latency-hiding path: (query,
+  /// shard-replica) work items fan across the ThreadPool, shards that miss
+  /// `async.hedge_ms` are hedged onto their next live replica (first answer
+  /// wins), and a shard that did not answer (no live replica, or a failed
+  /// dispatch) degrades per AsyncOptions (partial flag or Status). With one
+  /// replica per shard there is nothing to hedge. Result ids are identical
+  /// to Search on a healthy cluster.
   Result<SearchResult> SearchAsync(const QueryToken& token, std::size_t k,
                                    const SearchSettings& settings = {},
                                    const AsyncOptions& async = {}) const {
@@ -123,21 +121,19 @@ class PpannsService {
   /// vector is aligned with `tokens` and bitwise identical to a sequential
   /// Search loop (each query is independent and deterministic).
   ///
-  /// On a sharded topology the fan-out is batch-level: all Q*S
-  /// (query, shard) filter work items spread across the pool as one flat
-  /// list, so a batch smaller than the core count still fills the machine
-  /// and one slow shard only stalls its own work items, not a whole worker's
-  /// query queue.
+  /// The fan-out is batch-level: all Q*S (query, shard) filter work items
+  /// spread across the pool as one flat list, so a batch smaller than the
+  /// core count still fills the machine and one slow shard only stalls its
+  /// own work items, not a whole worker's query queue.
   Result<BatchSearchResult> SearchBatch(std::span<const QueryToken> tokens,
                                         std::size_t k,
                                         const SearchSettings& settings = {}) const;
 
-  /// SearchBatch with hedging: on a sharded topology the Q*S (query, shard)
-  /// work items run through the same hedged claim-flag scatter SearchAsync
-  /// uses — items missing `async.hedge_ms` re-dispatch to the shard's
-  /// next-best live replica, first answer wins, losers abort mid-scan. Ids
-  /// are identical to the unhedged SearchBatch. On the single-index
-  /// topology (nothing to hedge) it behaves exactly like SearchBatch.
+  /// SearchBatch with hedging: the Q*S (query, shard) work items run
+  /// through the same hedged claim-flag scatter SearchAsync uses — items
+  /// missing `async.hedge_ms` re-dispatch to the shard's next-best live
+  /// replica, first answer wins, losers abort mid-scan. Ids are identical
+  /// to the unhedged SearchBatch.
   Result<BatchSearchResult> SearchBatch(std::span<const QueryToken> tokens,
                                         std::size_t k,
                                         const SearchSettings& settings,
@@ -145,9 +141,9 @@ class PpannsService {
 
   /// Validated maintenance (Section V-D). Insert rejects an EncryptedVector
   /// whose SAP length differs from dim() or whose DCE payload is not the
-  /// four blocks of 2*d_pad+16 doubles the dimension dictates; on a sharded
-  /// server the accepted vector routes to the least-loaded shard and the
-  /// returned id is global. On a gather node over remote shards the
+  /// four blocks of 2*d_pad+16 doubles the dimension dictates; the
+  /// accepted vector routes to the least-loaded shard and the returned id
+  /// is global. On a gather node over remote shards the
   /// mutation broadcasts through the cluster's MutationTransports
   /// (ConnectCluster attaches them) — identical semantics over the wire, or
   /// NotSupported when the connection predates the mutation protocol.
@@ -191,7 +187,7 @@ class PpannsService {
   /// counters.cache_hit is set and no filter/refine work runs. Only
   /// completed, non-partial results are cached (an early-exited or degraded
   /// answer is never replayed), and ANY mutation — Insert, Delete, WAL
-  /// replay, or a compaction/split/rebalance bumping the sharded
+  /// replay, or a compaction/split/rebalance bumping the server's
   /// state_version — invalidates the whole cache, so a cached answer is
   /// always id-identical to a fresh search. Calling again replaces the
   /// cache (fresh entries, fresh counters).
@@ -201,32 +197,38 @@ class PpannsService {
   /// Lifetime counters of the enabled cache (PPANNS_CHECK if disabled).
   ResultCacheStats result_cache_stats() const;
 
-  std::size_t size() const;
-  std::size_t dim() const;
-  IndexKind index_kind() const;
-  std::size_t StorageBytes() const;
+  std::size_t size() const { return server_.size(); }
+  std::size_t dim() const { return server_.dim(); }
+  IndexKind index_kind() const { return server_.index_kind(); }
+  std::size_t StorageBytes() const { return server_.StorageBytes(); }
 
-  /// Number of shards behind the facade (1 for the single-index topology).
-  std::size_t num_shards() const;
-  /// Replicas per shard (1 for the single-index topology).
-  std::size_t num_replicas() const;
-  bool sharded() const {
-    return std::holds_alternative<ShardedCloudServer>(server_);
-  }
+  /// Number of shards behind the facade (1 for a single-shard package).
+  std::size_t num_shards() const { return server_.num_shards(); }
+  /// Replicas per shard (1 for a single-shard package).
+  std::size_t num_replicas() const { return server_.replication_factor(); }
 
-  /// Topology-specific accessors; calling the wrong one is a programmer
-  /// error (PPANNS_CHECK).
-  const CloudServer& server() const;
-  const ShardedCloudServer& sharded_server() const;
-  /// Mutable sharded accessor for the replica health / fault-injection
-  /// surface (SetReplicaDown, SetReplicaDelayMs).
-  ShardedCloudServer& sharded_server_mutable();
+  /// The serving engine, for the admin surface (replica health, explicit
+  /// maintenance, observability) the facade does not wrap.
+  const ShardedCloudServer& sharded_server() const { return server_; }
+  ShardedCloudServer& sharded_server_mutable() { return server_; }
 
   /// Snapshots the current package (including maintenance mutations) in the
-  /// matching on-disk format: the single-shard envelope or the sharded one.
-  void SerializeDatabase(BinaryWriter* out) const;
+  /// on-disk format it was loaded in: PPDB for a single-shard package that
+  /// no structural maintenance touched, the sharded envelope otherwise.
+  void SerializeDatabase(BinaryWriter* out) const {
+    server_.SerializeDatabase(out);
+  }
 
  private:
+  /// The single-query path behind Search and SearchAsync: validation,
+  /// admission, the cache lookup, `run` (the engine call, given the
+  /// caller's context or a local one), the deadline contract and the cache
+  /// insert.
+  Result<SearchResult> Serve(
+      const QueryToken& token, std::size_t k, const SearchSettings& settings,
+      SearchContext* ctx,
+      const std::function<Result<SearchResult>(SearchContext*)>& run) const;
+
   /// Shared validation for Search/SearchBatch.
   Status ValidateQuery(const QueryToken& token, std::size_t k,
                        const SearchSettings& settings) const;
@@ -243,7 +245,7 @@ class PpannsService {
   std::size_t ExpectedDceBlock() const;
 
   /// The database epoch cache entries are stamped with: the facade's
-  /// mutation counter plus the sharded server's state_version, so both
+  /// mutation counter plus the server's state_version, so both
   /// facade mutations and background compaction/split invalidate. On a
   /// remote gather state_version() is the cluster epoch fence — advanced by
   /// every mutation response and health ping — so remote mutations (even
@@ -256,7 +258,7 @@ class PpannsService {
     return result.counters.early_exit == EarlyExit::kNone && !result.partial;
   }
 
-  std::variant<CloudServer, ShardedCloudServer> server_;
+  ShardedCloudServer server_;
   std::optional<WalWriter> wal_;
   /// Present iff the result cache is enabled. unique_ptr keeps the facade
   /// movable (the cache itself holds mutexes and atomics).

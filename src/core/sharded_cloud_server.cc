@@ -12,7 +12,6 @@
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/comparison_heap.h"
 #include "core/query_client.h"
 
 namespace ppanns {
@@ -57,6 +56,9 @@ struct ShardedCloudServer::ShardSet {
   /// Monotonic count of structural maintenance ops; 0 = never compacted.
   std::uint64_t state_version = 0;
   std::size_t num_replicas = 1;
+  /// Loaded from a single-shard "PPDB" package (ShardedEncryptedDatabase::
+  /// bare): snapshots write PPDB until structural maintenance runs.
+  bool bare = false;
 };
 
 // Global counters that survive swaps at a stable heap address: hedged work
@@ -88,16 +90,6 @@ namespace {
 
 using ReplicaState = ShardedCloudServer::ShardSet::ReplicaState;
 using ShardGroup = ShardedCloudServer::ShardSet::ShardGroup;
-
-/// Simulated straggler: the injected latency of a filter work item, served
-/// in 1 ms slices so a cancelled item (lost hedge, expired deadline) wakes
-/// out of it at the next slice instead of sleeping uselessly to the end.
-void InterruptibleDelay(int delay_ms, SearchContext* ctx) {
-  for (int slice = 0; slice < delay_ms; ++slice) {
-    if (ctx != nullptr && ctx->ShouldStop(ctx->stats.nodes_visited)) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
 
 /// The in-process ShardTransport: one replica behind a function call. Holds
 /// pointers only into its own ShardGroup — a dispatch that outlives a
@@ -154,23 +146,19 @@ ShardFilterOptions MakeFilterOptions(std::size_t k_prime,
 }
 
 /// The gather + refine of one query: merges the per-shard (candidate,
-/// ciphertext) pairs to the global SAP-top-k', then (unless settings.refine
-/// is off) streams them through one DCE ComparisonHeap, probing `ctx`
-/// between comparisons. Where a ciphertext lives — a local replica's array
-/// or a remote answer's shipped copy — is the transport's business; the
-/// refine reads it through the pair. Fills ids, filter_candidates,
-/// dce_comparisons, refine_seconds, and the context-derived counters.
+/// ciphertext) pairs to the global SAP-top-k', then runs the shared refine
+/// phase over them. Where a ciphertext lives — a local replica's array or a
+/// remote answer's shipped copy — is the transport's business; the refine
+/// reads it through the pair.
 SearchResult MergeAndRefine(const QueryToken& token, std::size_t k,
                             const SearchSettings& settings,
                             std::size_t k_prime,
                             std::span<const ShardFilterResult> answers,
                             SearchContext* ctx) {
-  SearchResult result;
-
-  // ---- Gather: merge to the global SAP-top-k' under the same
-  // (distance, global id) order an unsharded filter phase produces. Each
-  // shard's top-k' is complete for that shard, so the merged prefix equals
-  // the unsharded candidate list whenever the backends are exact.
+  // Merge to the global SAP-top-k' under the same (distance, global id)
+  // order an unsharded filter phase produces. Each shard's top-k' is
+  // complete for that shard, so the merged prefix equals the unsharded
+  // candidate list whenever the backends are exact.
   struct Candidate {
     Neighbor nb;
     const DceCiphertext* ct;  ///< null when the answer carries none
@@ -189,59 +177,15 @@ SearchResult MergeAndRefine(const QueryToken& token, std::size_t k,
   std::sort(merged.begin(), merged.end(),
             [](const Candidate& a, const Candidate& b) { return a.nb < b.nb; });
   if (merged.size() > k_prime) merged.resize(k_prime);
-  result.counters.filter_candidates = merged.size();
-
-  if (!settings.refine) {
-    const std::size_t out_k = std::min(k, merged.size());
-    result.ids.reserve(out_k);
-    for (std::size_t i = 0; i < out_k; ++i) result.ids.push_back(merged[i].nb.id);
-    if (ctx != nullptr) FillCounters(&result.counters, *ctx);
-    return result;
+  std::vector<VectorId> ids;
+  std::vector<const DceCiphertext*> ciphertexts;
+  ids.reserve(merged.size());
+  ciphertexts.reserve(merged.size());
+  for (const Candidate& c : merged) {
+    ids.push_back(c.nb.id);
+    ciphertexts.push_back(c.ct);
   }
-
-  // ---- Refine: one DCE ComparisonHeap over the merged budget. The heap
-  // holds positions in `merged` and only ever asks the oracle, so it makes
-  // the same comparisons — and returns the same ids — as a heap over the
-  // ids themselves.
-  Timer refine_timer;
-  std::size_t* comparisons = &result.counters.dce_comparisons;
-  ComparisonHeap heap(
-      k, [&token, &merged, comparisons](VectorId a, VectorId b) {
-        ++*comparisons;
-        return DceScheme::Closer(*merged[a].ct, *merged[b].ct, token.trapdoor);
-      });
-  // Blocked offers: gather a block of eligible candidates, prefetching each
-  // one's DCE ciphertext payload, then run the comparison-heavy offers over
-  // warm lines. Offers apply in candidate order, so ids match the unblocked
-  // loop.
-  VectorId block[kKernelBlock];
-  std::size_t ci = 0;
-  bool abandoned = false;
-  while (ci < merged.size() && !abandoned) {
-    std::size_t bn = 0;
-    for (; ci < merged.size() && bn < kKernelBlock; ++ci) {
-      // Candidate-granularity probe: DCE comparisons dwarf a row scan. A
-      // spent filter budget does not abandon refinement — only cancellation
-      // or the deadline does.
-      if (ctx != nullptr && ctx->ShouldAbandon()) {
-        abandoned = true;
-        break;
-      }
-      // Defensive: never offer a candidate whose ciphertext did not ship
-      // (a malformed remote answer) — the comparator must not fault.
-      if (merged[ci].ct == nullptr) continue;
-      PrefetchRead(merged[ci].ct->data.data());
-      block[bn++] = static_cast<VectorId>(ci);
-    }
-    heap.OfferBatch(block, bn);
-  }
-  for (VectorId pos : heap.ExtractSorted()) result.ids.push_back(merged[pos].nb.id);
-  result.counters.refine_seconds = refine_timer.ElapsedSeconds();
-  if (ctx != nullptr) {
-    ctx->stats.dce_comparisons += result.counters.dce_comparisons;
-    FillCounters(&result.counters, *ctx);
-  }
-  return result;
+  return RefineCandidates(token, k, settings, ids, ciphertexts, ctx);
 }
 
 /// Allocates a group's state cells and in-process transports once its
@@ -342,6 +286,7 @@ ShardedCloudServer::ShardedCloudServer(ShardedEncryptedDatabase db)
   set->num_replicas = num_replicas;
   set->manifest = std::move(db.manifest);
   set->state_version = db.state_version;
+  set->bare = db.bare;
 
   std::vector<std::size_t> capacities;
   capacities.reserve(db.shards.size());
@@ -1466,32 +1411,17 @@ void ShardedCloudServer::SerializeDatabase(BinaryWriter* out) const {
   // only read).
   std::lock_guard<std::mutex> lock(maintenance_->mu);
   const std::shared_ptr<const ShardSet> set = set_->Pin();
-  const auto num_shards = static_cast<std::uint32_t>(set->groups.size());
-  const auto num_replicas = static_cast<std::uint32_t>(set->num_replicas);
-  if (set->state_version > 0) {
-    std::vector<std::uint64_t> epochs;
-    epochs.reserve(set->groups.size());
-    for (const auto& group : set->groups) {
-      epochs.push_back(group->compaction_epoch);
-    }
-    const std::size_t crc_begin = ShardedEncryptedDatabase::WriteEnvelopeHeaderV3(
-        out, num_shards, num_replicas, set->state_version, epochs);
-    for (const auto& group : set->groups) {
-      for (const CloudServer& replica : group->replicas) {
-        replica.SerializeDatabase(out);
-      }
-    }
-    set->manifest.Serialize(out);
-    ShardedEncryptedDatabase::FinishEnvelopeV3(out, crc_begin);
-    return;
-  }
-  ShardedEncryptedDatabase::WriteEnvelopeHeader(out, num_shards, num_replicas);
+  std::vector<std::uint64_t> epochs;
+  epochs.reserve(set->groups.size());
   for (const auto& group : set->groups) {
-    for (const CloudServer& replica : group->replicas) {
-      replica.SerializeDatabase(out);
-    }
+    epochs.push_back(group->compaction_epoch);
   }
-  set->manifest.Serialize(out);
+  ShardedEncryptedDatabase::SerializeEnvelope(
+      out, set->groups.size(), set->num_replicas, set->bare,
+      set->state_version, epochs, set->manifest,
+      [&set, out](std::size_t s, std::size_t r) {
+        set->groups[s]->replicas[r].SerializeDatabase(out);
+      });
 }
 
 }  // namespace ppanns

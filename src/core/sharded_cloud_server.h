@@ -370,9 +370,10 @@ class ShardedCloudServer {
   std::size_t StorageBytes() const;
 
   /// Snapshots the whole package (including maintenance mutations) in the
-  /// sharded envelope format: v1 when unreplicated, v2 when replicated, and
-  /// the checksummed v3 once any structural maintenance has run
-  /// (state_version > 0).
+  /// envelope ShardedEncryptedDatabase::SerializeEnvelope picks: the
+  /// single-shard PPDB bytes for a package loaded from one, v1 when
+  /// unreplicated, v2 when replicated, and the checksummed v3 once any
+  /// structural maintenance has run (state_version > 0).
   void SerializeDatabase(BinaryWriter* out) const;
 
   // Implementation-detail types, forward-declared here so the .cc's

@@ -102,60 +102,85 @@ void ShardedEncryptedDatabase::WriteEnvelopeHeader(
   out->Put<std::uint32_t>(num_replicas);
 }
 
-std::size_t ShardedEncryptedDatabase::WriteEnvelopeHeaderV3(
-    BinaryWriter* out, std::uint32_t num_shards, std::uint32_t num_replicas,
-    std::uint64_t state_version,
-    const std::vector<std::uint64_t>& compaction_epochs) {
-  out->Put<std::uint32_t>(kShardedMagic);
-  const std::size_t crc_begin = out->buffer().size();
-  out->Put<std::uint32_t>(kShardedVersionV3);
-  out->Put<std::uint32_t>(num_shards);
-  out->Put<std::uint32_t>(num_replicas);
-  out->Put<std::uint64_t>(state_version);
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    out->Put<std::uint64_t>(s < compaction_epochs.size() ? compaction_epochs[s]
-                                                         : 0);
+void ShardedEncryptedDatabase::SerializeEnvelope(
+    BinaryWriter* out, std::size_t num_shards, std::size_t num_replicas,
+    bool bare, std::uint64_t state_version,
+    const std::vector<std::uint64_t>& compaction_epochs,
+    const ShardManifest& manifest,
+    const std::function<void(std::size_t s, std::size_t r)>& write_replica) {
+  if (bare && state_version == 0) {
+    // A single-shard package nobody restructured: its one payload is the
+    // whole PPDB file (the identity manifest is implied).
+    PPANNS_CHECK(num_shards == 1 && num_replicas == 1);
+    write_replica(0, 0);
+    return;
   }
-  return crc_begin;
-}
-
-void ShardedEncryptedDatabase::FinishEnvelopeV3(BinaryWriter* out,
-                                                std::size_t crc_begin) {
-  const std::uint32_t crc = Crc32(out->buffer().data() + crc_begin,
-                                  out->buffer().size() - crc_begin);
-  out->Put<std::uint32_t>(crc);
-  out->Put<std::uint32_t>(kShardedMagic);
+  const auto shards32 = static_cast<std::uint32_t>(num_shards);
+  const auto replicas32 = static_cast<std::uint32_t>(num_replicas);
+  std::size_t crc_begin = 0;
+  if (state_version > 0) {
+    out->Put<std::uint32_t>(kShardedMagic);
+    crc_begin = out->buffer().size();
+    out->Put<std::uint32_t>(kShardedVersionV3);
+    out->Put<std::uint32_t>(shards32);
+    out->Put<std::uint32_t>(replicas32);
+    out->Put<std::uint64_t>(state_version);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      out->Put<std::uint64_t>(
+          s < compaction_epochs.size() ? compaction_epochs[s] : 0);
+    }
+  } else {
+    WriteEnvelopeHeader(out, shards32, replicas32);
+  }
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    for (std::size_t r = 0; r < num_replicas; ++r) write_replica(s, r);
+  }
+  manifest.Serialize(out);
+  if (state_version > 0) {
+    // Footer: CRC-32 over everything after the leading magic, then the
+    // magic again. A load that fails either check is a torn write.
+    const std::uint32_t crc = Crc32(out->buffer().data() + crc_begin,
+                                    out->buffer().size() - crc_begin);
+    out->Put<std::uint32_t>(crc);
+    out->Put<std::uint32_t>(kShardedMagic);
+  }
 }
 
 void ShardedEncryptedDatabase::Serialize(BinaryWriter* out) const {
-  if (state_version > 0) {
-    const std::size_t crc_begin = WriteEnvelopeHeaderV3(
-        out, static_cast<std::uint32_t>(shards.size()),
-        static_cast<std::uint32_t>(replication_factor()), state_version,
-        compaction_epochs);
-    for (const std::vector<EncryptedDatabase>& group : shards) {
-      for (const EncryptedDatabase& replica : group) replica.Serialize(out);
-    }
-    manifest.Serialize(out);
-    FinishEnvelopeV3(out, crc_begin);
-    return;
+  SerializeEnvelope(out, shards.size(), replication_factor(), bare,
+                    state_version, compaction_epochs, manifest,
+                    [this, out](std::size_t s, std::size_t r) {
+                      shards[s][r].Serialize(out);
+                    });
+}
+
+ShardedEncryptedDatabase ShardedEncryptedDatabase::FromSingleShard(
+    EncryptedDatabase db) {
+  ShardedEncryptedDatabase set;
+  for (std::size_t l = 0; l < db.index->capacity(); ++l) {
+    set.manifest.Append(0, static_cast<VectorId>(l));
   }
-  WriteEnvelopeHeader(out, static_cast<std::uint32_t>(shards.size()),
-                      static_cast<std::uint32_t>(replication_factor()));
-  for (const std::vector<EncryptedDatabase>& group : shards) {
-    for (const EncryptedDatabase& replica : group) replica.Serialize(out);
-  }
-  manifest.Serialize(out);
+  set.shards.resize(1);
+  set.shards[0].push_back(std::move(db));
+  set.bare = true;
+  return set;
 }
 
 Result<ShardedEncryptedDatabase> ShardedEncryptedDatabase::Deserialize(
     BinaryReader* in) {
   std::uint32_t magic = 0, version = 0, num_shards = 0, num_replicas = 1;
+  if (in->remaining() >= sizeof(magic)) {
+    std::memcpy(&magic, in->bytes() + in->position(), sizeof(magic));
+  }
+  if (magic != kShardedMagic) {
+    // Anything else must be a single-shard "PPDB" package (whose loader
+    // rejects a bad magic itself).
+    Result<EncryptedDatabase> single = EncryptedDatabase::Deserialize(in);
+    if (!single.ok()) return single.status();
+    return FromSingleShard(std::move(*single));
+  }
   PPANNS_RETURN_IF_ERROR(in->Get(&magic));
   const std::size_t crc_begin = in->position();
-  if (magic != kShardedMagic) {
-    return Status::IOError("ShardedEncryptedDatabase: bad magic");
-  }
   PPANNS_RETURN_IF_ERROR(in->Get(&version));
   if (version != kShardedVersionV1 && version != kShardedVersionV2 &&
       version != kShardedVersionV3) {
@@ -245,14 +270,6 @@ Result<ShardedEncryptedDatabase> ShardedEncryptedDatabase::Deserialize(
     }
   }
   return db;
-}
-
-bool ShardedEncryptedDatabase::LooksSharded(
-    const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < sizeof(std::uint32_t)) return false;
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  return magic == kShardedMagic;
 }
 
 }  // namespace ppanns

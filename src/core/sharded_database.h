@@ -11,11 +11,18 @@
 // without changing a single result id. The wire format is a versioned
 // envelope that wraps the existing single-shard format unchanged, so every
 // replica payload is itself a loadable EncryptedDatabase.
+//
+// This module is the one loader and the one envelope writer for every
+// package. A single-shard "PPDB" package loads as a 1-shard, 1-replica set
+// with an identity manifest, marked `bare`, and writes back as the identical
+// PPDB bytes until structural maintenance (compaction, split) moves it to
+// the sharded v3 envelope — so the serving tier has one topology.
 
 #ifndef PPANNS_CORE_SHARDED_DATABASE_H_
 #define PPANNS_CORE_SHARDED_DATABASE_H_
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "common/serialize.h"
@@ -97,6 +104,9 @@ struct ShardedEncryptedDatabase {
   /// Per-shard compaction generation (empty or size num_shards). Carried so
   /// a reloaded package reports the same maintenance history it had live.
   std::vector<std::uint64_t> compaction_epochs;
+  /// Loaded from (and, while state_version == 0, written back as) a
+  /// single-shard "PPDB" package: one shard, one replica, identity manifest.
+  bool bare = false;
 
   std::size_t num_shards() const { return shards.size(); }
 
@@ -113,39 +123,38 @@ struct ShardedEncryptedDatabase {
   /// (state_version > 0) writes the v3 envelope instead: replica count
   /// always present, state version + per-shard compaction epochs after the
   /// counts, and a CRC-32 + magic footer that rejects torn writes at load
-  /// time (see docs/file-formats.md).
+  /// time. A bare package with state_version == 0 writes its one payload
+  /// alone — the PPDB bytes it was loaded from (see docs/file-formats.md).
   void Serialize(BinaryWriter* out) const;
 
-  /// Writes the envelope prefix (magic, version, shard count and — when
-  /// num_replicas > 1 — the replica count) — shared with
-  /// ShardedCloudServer::SerializeDatabase, which streams live shards
-  /// instead of owning a ShardedEncryptedDatabase value.
+  /// The envelope decision behind Serialize, shared with
+  /// ShardedCloudServer::SerializeDatabase, which streams live replicas
+  /// instead of owning a ShardedEncryptedDatabase value: picks PPDB, v1, v2
+  /// or v3 from the shape and state, writes the header, calls
+  /// `write_replica(s, r)` for every payload in order, then the manifest
+  /// and (v3) the footer.
+  static void SerializeEnvelope(
+      BinaryWriter* out, std::size_t num_shards, std::size_t num_replicas,
+      bool bare, std::uint64_t state_version,
+      const std::vector<std::uint64_t>& compaction_epochs,
+      const ShardManifest& manifest,
+      const std::function<void(std::size_t s, std::size_t r)>& write_replica);
+
+  /// Writes the v1/v2 envelope prefix (magic, version, shard count and —
+  /// when num_replicas > 1 — the replica count).
   static void WriteEnvelopeHeader(BinaryWriter* out, std::uint32_t num_shards,
                                   std::uint32_t num_replicas);
 
-  /// Writes the v3 envelope prefix (magic, version 3, counts, state
-  /// version, per-shard compaction epochs). Returns the offset the trailing
-  /// CRC covers from (the first byte after the magic); pass it to
-  /// FinishEnvelopeV3 after the payloads and manifest have been written.
-  static std::size_t WriteEnvelopeHeaderV3(
-      BinaryWriter* out, std::uint32_t num_shards, std::uint32_t num_replicas,
-      std::uint64_t state_version,
-      const std::vector<std::uint64_t>& compaction_epochs);
+  /// A single-shard package as a 1x1 bare set with an identity manifest.
+  static ShardedEncryptedDatabase FromSingleShard(EncryptedDatabase db);
 
-  /// Appends the v3 footer: CRC-32 over [crc_begin, current end) plus a
-  /// trailing magic. A load that fails either check is a torn write and is
-  /// rejected, never half-applied.
-  static void FinishEnvelopeV3(BinaryWriter* out, std::size_t crc_begin);
-
-  /// Reads either envelope version, loading each replica through the
-  /// existing EncryptedDatabase path, and rejects inconsistent packages:
-  /// manifests with overlapping ids, out-of-range shards or coverage
-  /// mismatches, and replica groups whose members disagree on capacity.
+  /// The one package loader: reads either magic. A "PPDB" package becomes
+  /// a bare 1x1 set (FromSingleShard); a "PPSH" envelope of any version
+  /// loads each replica through the EncryptedDatabase path and rejects
+  /// inconsistent packages: manifests with overlapping ids, out-of-range
+  /// shards or coverage mismatches, and replica groups whose members
+  /// disagree on capacity.
   static Result<ShardedEncryptedDatabase> Deserialize(BinaryReader* in);
-
-  /// True if `bytes` starts with the sharded envelope magic — the cheap
-  /// topology probe used by load paths that accept either format.
-  static bool LooksSharded(const std::vector<std::uint8_t>& bytes);
 };
 
 }  // namespace ppanns

@@ -610,7 +610,6 @@ std::vector<Neighbor> HnswIndex::SearchLayerBuild(
 
 void HnswIndex::ConnectBuild(VectorId id, int level,
                              const std::vector<VectorId>& neighbors) {
-  const std::size_t max_degree = (level == 0) ? params_.max_m0() : params_.m;
   {
     // Once `id`'s upper levels are wired, a concurrent insert can reach it
     // as its next-level search entry and back-link into this (still empty)
@@ -618,48 +617,54 @@ void HnswIndex::ConnectBuild(VectorId id, int level,
     // those edges survive. (Sequential/T=1 builds always hit the empty
     // fast path, preserving bit-equality with AddBatch.)
     std::lock_guard<std::mutex> lock(build_locks_->ForNode(id));
-    auto& own = nodes_[id].adjacency[level];
-    if (own.empty()) {
-      own = neighbors;
-    } else {
-      for (VectorId nb : neighbors) {
-        if (std::find(own.begin(), own.end(), nb) == own.end()) {
-          own.push_back(nb);
-        }
-      }
-      if (own.size() > max_degree) {
-        std::vector<Neighbor> cands;
-        cands.reserve(own.size());
-        const float* vec = data_.row(id);
-        for (VectorId existing : own) {
-          cands.push_back(
-              Neighbor{existing, SquaredL2(vec, data_.row(existing), dim_)});
-        }
-        own = SelectNeighbors(vec, std::move(cands), max_degree);
-      }
-    }
+    MergeEdges(id, level, neighbors);
   }
-
+  // Each back-link runs under nb's stripe lock (it reads only immutable
+  // vector rows besides nb's list, and takes no other lock, so the
+  // single-lock-at-a-time rule holds).
   for (VectorId nb : neighbors) {
     std::lock_guard<std::mutex> lock(build_locks_->ForNode(nb));
-    auto& back = nodes_[nb].adjacency[level];
-    if (std::find(back.begin(), back.end(), id) != back.end()) continue;
-    if (back.size() < max_degree) {
-      back.push_back(id);
-      continue;
-    }
-    // Overflow re-selection runs under nb's stripe lock (it reads only
-    // immutable vector rows besides `back`, and takes no other lock, so the
-    // single-lock-at-a-time rule holds).
-    std::vector<Neighbor> cands;
-    cands.reserve(back.size() + 1);
-    const float* nb_vec = data_.row(nb);
-    for (VectorId existing : back) {
-      cands.push_back(Neighbor{existing, SquaredL2(nb_vec, data_.row(existing), dim_)});
-    }
-    cands.push_back(Neighbor{id, SquaredL2(nb_vec, data_.row(id), dim_)});
-    back = SelectNeighbors(nb_vec, std::move(cands), max_degree);
+    AddBackLink(nb, level, id);
   }
+}
+
+void HnswIndex::MergeEdges(VectorId id, int level,
+                           const std::vector<VectorId>& neighbors) {
+  const std::size_t max_degree = (level == 0) ? params_.max_m0() : params_.m;
+  auto& own = nodes_[id].adjacency[level];
+  if (own.empty()) {
+    own = neighbors;
+    return;
+  }
+  for (VectorId nb : neighbors) {
+    if (std::find(own.begin(), own.end(), nb) == own.end()) own.push_back(nb);
+  }
+  if (own.size() <= max_degree) return;
+  std::vector<Neighbor> cands;
+  cands.reserve(own.size());
+  const float* vec = data_.row(id);
+  for (VectorId existing : own) {
+    cands.push_back(Neighbor{existing, SquaredL2(vec, data_.row(existing), dim_)});
+  }
+  own = SelectNeighbors(vec, std::move(cands), max_degree);
+}
+
+void HnswIndex::AddBackLink(VectorId nb, int level, VectorId id) {
+  const std::size_t max_degree = (level == 0) ? params_.max_m0() : params_.m;
+  auto& back = nodes_[nb].adjacency[level];
+  if (std::find(back.begin(), back.end(), id) != back.end()) return;
+  if (back.size() < max_degree) {
+    back.push_back(id);
+    return;
+  }
+  std::vector<Neighbor> cands;
+  cands.reserve(back.size() + 1);
+  const float* nb_vec = data_.row(nb);
+  for (VectorId existing : back) {
+    cands.push_back(Neighbor{existing, SquaredL2(nb_vec, data_.row(existing), dim_)});
+  }
+  cands.push_back(Neighbor{id, SquaredL2(nb_vec, data_.row(id), dim_)});
+  back = SelectNeighbors(nb_vec, std::move(cands), max_degree);
 }
 
 std::vector<Neighbor> HnswIndex::Search(const float* query, std::size_t k,
@@ -705,8 +710,7 @@ Status HnswIndex::Remove(VectorId id) {
   // deletion is repaired server-side by reinserting the affected
   // in-neighbors' edge sets). The unlink scan partitions the nodes across
   // the pool — each node is touched by exactly one chunk and nothing else
-  // mutates yet, so this phase needs no locks. Repairs are deferred so the
-  // next phase can run them concurrently.
+  // mutates yet, so this phase needs no locks.
   struct RepairItem {
     VectorId v;
     int level;
@@ -732,20 +736,73 @@ Status HnswIndex::Remove(VectorId id) {
           repairs.insert(repairs.end(), local.begin(), local.end());
         }
       });
+  // Chunks append in finish order; the commit order must not depend on it.
+  std::sort(repairs.begin(), repairs.end(),
+            [](const RepairItem& a, const RepairItem& b) {
+              return a.v != b.v ? a.v < b.v : a.level < b.level;
+            });
 
-  // Re-link the orphaned in-neighbors concurrently through the striped build
-  // locks. `id`'s own out-edges stay intact until every repair is done: if it
-  // was the entry point, repair descents still route through it (deleted
-  // nodes are traversable, never returned).
+  // Re-link the orphaned in-neighbors in three passes, each free of the
+  // thread schedule, so replicas applying the same delete end with
+  // identical bytes at any pool size. (1) Plan every repair's neighbor
+  // selection in parallel against the graph as the unlink left it — nothing
+  // writes until the plans are done, so a plan depends on that frozen graph
+  // alone. (2) Merge each plan into its own (v, level) list; the lists are
+  // disjoint, so these run in parallel. (3) Add the back-links, grouped by
+  // target list and applied within a group in (v, level) order; groups are
+  // disjoint, so they run in parallel too. `id`'s own out-edges stay intact
+  // until every repair is done: if it was the entry point, repair descents
+  // still route through it (deleted nodes are traversable, never returned).
+  std::vector<std::vector<VectorId>> plans(repairs.size());
   ThreadPool::Global().ParallelFor(
       repairs.size(), [&](std::size_t begin, std::size_t end) {
         std::vector<VectorId> scratch;
         auto visited = visited_pool_->Acquire(nodes_.size());
         for (std::size_t i = begin; i < end; ++i) {
-          RepairNodeConcurrent(repairs[i].v, repairs[i].level, visited.get(),
-                               &scratch);
+          plans[i] = PlanRepair(repairs[i].v, repairs[i].level, visited.get(),
+                                &scratch);
         }
         visited_pool_->Release(std::move(visited));
+      });
+  ThreadPool::Global().ParallelFor(
+      repairs.size(), [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          if (!plans[i].empty()) {
+            MergeEdges(repairs[i].v, repairs[i].level, plans[i]);
+          }
+        }
+      });
+  struct BackLink {
+    VectorId target;
+    int level;
+    VectorId from;
+  };
+  std::vector<BackLink> links;
+  for (std::size_t i = 0; i < repairs.size(); ++i) {
+    for (VectorId nb : plans[i]) {
+      links.push_back(BackLink{nb, repairs[i].level, repairs[i].v});
+    }
+  }
+  std::sort(links.begin(), links.end(),
+            [](const BackLink& a, const BackLink& b) {
+              if (a.target != b.target) return a.target < b.target;
+              return a.level != b.level ? a.level < b.level : a.from < b.from;
+            });
+  std::vector<std::size_t> group_starts;
+  for (std::size_t j = 0; j < links.size(); ++j) {
+    if (j == 0 || links[j].target != links[j - 1].target ||
+        links[j].level != links[j - 1].level) {
+      group_starts.push_back(j);
+    }
+  }
+  group_starts.push_back(links.size());
+  ThreadPool::Global().ParallelFor(
+      group_starts.size() - 1, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t g = begin; g < end; ++g) {
+          for (std::size_t j = group_starts[g]; j < group_starts[g + 1]; ++j) {
+            AddBackLink(links[j].target, links[j].level, links[j].from);
+          }
+        }
       });
   nodes_[id].adjacency.assign(nodes_[id].adjacency.size(), {});
 
@@ -775,14 +832,14 @@ Status HnswIndex::Remove(VectorId id) {
   return Status::OK();
 }
 
-void HnswIndex::RepairNodeConcurrent(VectorId v, int level,
-                                     VisitedList* visited,
-                                     std::vector<VectorId>* scratch) {
-  // Re-run a neighborhood search from v and refill its adjacency at `level`
-  // with the selection heuristic (skipping v itself and deleted nodes; the
+std::vector<VectorId> HnswIndex::PlanRepair(VectorId v, int level,
+                                            VisitedList* visited,
+                                            std::vector<VectorId>* scratch) {
+  // Re-run a neighborhood search from v and re-select its adjacency at
+  // `level` with the heuristic (skipping v itself and deleted nodes; the
   // build-path search excludes `self` from results already).
   const EntryState state = LoadEntry();
-  if (state.entry == kInvalidVectorId || state.entry == v) return;
+  if (state.entry == kInvalidVectorId || state.entry == v) return {};
   const float* vec = data_.row(v);
   VectorId cur = state.entry;
   for (int l = state.level; l > level; --l) {
@@ -791,16 +848,13 @@ void HnswIndex::RepairNodeConcurrent(VectorId v, int level,
 
   std::vector<Neighbor> cands = SearchLayerBuild(
       vec, cur, params_.ef_construction, level, v, visited, scratch);
-  if (cands.empty()) return;
+  if (cands.empty()) return {};
 
   const std::size_t max_degree = (level == 0) ? params_.max_m0() : params_.m;
   // Merge with surviving adjacency so repair never loses good edges.
-  {
-    std::lock_guard<std::mutex> lock(build_locks_->ForNode(v));
-    for (VectorId existing : nodes_[v].adjacency[level]) {
-      cands.push_back(
-          Neighbor{existing, SquaredL2(vec, data_.row(existing), dim_)});
-    }
+  for (VectorId existing : nodes_[v].adjacency[level]) {
+    cands.push_back(
+        Neighbor{existing, SquaredL2(vec, data_.row(existing), dim_)});
   }
   std::sort(cands.begin(), cands.end());
   cands.erase(std::unique(cands.begin(), cands.end(),
@@ -808,7 +862,7 @@ void HnswIndex::RepairNodeConcurrent(VectorId v, int level,
                             return a.id == b.id;
                           }),
               cands.end());
-  ConnectBuild(v, level, SelectNeighbors(vec, std::move(cands), max_degree));
+  return SelectNeighbors(vec, std::move(cands), max_degree);
 }
 
 bool HnswIndex::IsDeleted(VectorId id) const {

@@ -274,13 +274,14 @@ class HnswIndex {
   /// adjacency lists with the heuristic.
   void Connect(VectorId id, int level, const std::vector<VectorId>& neighbors);
 
-  /// Re-links node `v` at `level` after one of its out-edges was removed
-  /// (Remove's parallel sweep): a fresh neighborhood search merged with the
-  /// surviving adjacency, re-selected by the heuristic. Every adjacency read
-  /// is snapshotted and every write made through the striped build locks, so
-  /// many repairs run concurrently.
-  void RepairNodeConcurrent(VectorId v, int level, VisitedList* visited,
-                            std::vector<VectorId>* scratch);
+  /// Plans the re-link of node `v` at `level` after one of its out-edges
+  /// was removed (Remove's parallel plan phase): a fresh neighborhood
+  /// search merged with the surviving adjacency, re-selected by the
+  /// heuristic. Reads only — Remove commits the returned selections
+  /// afterwards (MergeEdges, then AddBackLink per target list in (v, level)
+  /// order) — so many plans run concurrently against one frozen graph.
+  std::vector<VectorId> PlanRepair(VectorId v, int level, VisitedList* visited,
+                                   std::vector<VectorId>* scratch);
 
   // ---- Concurrent-build variants (AddBatchParallel only). -------------------
   // Same algorithms as the sequential functions above, with every adjacency
@@ -302,6 +303,13 @@ class HnswIndex {
                                          std::vector<VectorId>* scratch);
   void ConnectBuild(VectorId id, int level,
                     const std::vector<VectorId>& neighbors);
+  /// ConnectBuild's two halves, taking no lock (the caller holds the stripe
+  /// or owns the list outright): merge `neighbors` into `id`'s list at
+  /// `level` (re-selecting on overflow), and add the edge nb -> id
+  /// (re-selecting nb's list on overflow).
+  void MergeEdges(VectorId id, int level,
+                  const std::vector<VectorId>& neighbors);
+  void AddBackLink(VectorId nb, int level, VectorId id);
 
   std::size_t dim_;
   HnswParams params_;

@@ -13,20 +13,6 @@
 
 namespace ppanns {
 
-namespace {
-
-/// Injected straggler latency, served in 1 ms slices so a CANCEL frame (or
-/// the request's rebased deadline) wakes the scan out of it promptly — the
-/// same shape as the in-process delay knob.
-void InterruptibleDelay(int delay_ms, SearchContext* ctx) {
-  for (int slice = 0; slice < delay_ms; ++slice) {
-    if (ctx->ShouldStop(ctx->stats.nodes_visited)) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-}  // namespace
-
 // One accepted connection. Scan threads hold it by shared_ptr, so a scan
 // that finishes after Stop() still has a live socket (already shut down —
 // its write just fails) and live bookkeeping to decrement.
@@ -55,7 +41,6 @@ ShardServer::ShardServer(PpannsService* service,
       options_(std::move(options)) {
   // A server needs the actual replicas behind it; a remote (stub-backed)
   // facade has none to serve.
-  PPANNS_CHECK(service_->sharded());
   PPANNS_CHECK(!service_->sharded_server().remote());
   if (served_shards_.empty()) {
     for (std::size_t s = 0; s < service_->num_shards(); ++s) {

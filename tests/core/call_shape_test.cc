@@ -2,8 +2,12 @@
 // (hedged or not) and SearchBatch (flat or hedged) must agree on ids and on
 // every work counter, and a shard that does not answer must make the result
 // partial on every shape — never a truncated answer the result cache keeps.
+// A single-shard "PPDB" package is one more topology (a 1x1 set) whose every
+// shape must also equal the paper core, CloudServer::Search, and whose
+// unmutated checkpoint must reproduce the package bytes.
 
 #include <atomic>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -12,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/io.h"
 #include "common/thread_pool.h"
 #include "core/data_owner.h"
 #include "core/ppanns_service.h"
@@ -37,6 +42,9 @@ PpannsParams BaseParams(IndexKind kind, std::uint32_t num_shards,
   params.dce_scale_hint = 4.0;
   params.index_kind = kind;
   params.hnsw = HnswParams{.m = 8, .ef_construction = 80, .seed = seed};
+  params.ivf = IvfParams{.num_lists = 8, .train_iters = 5, .seed = seed};
+  params.lsh = LshParams{.num_tables = 8, .num_hashes = 4, .bucket_width = 8.0,
+                         .seed = seed};
   params.num_shards = num_shards;
   params.num_replicas = num_replicas;
   params.seed = seed;
@@ -144,6 +152,8 @@ struct Topology {
   std::uint32_t shards;
   std::uint32_t replicas;
   bool remote;
+  /// Served from a single-shard "PPDB" package (shards = replicas = 1).
+  bool ppdb = false;
 };
 
 class ShardedCallShapeTest : public ::testing::TestWithParam<Topology> {};
@@ -170,12 +180,39 @@ TEST_P(ShardedCallShapeTest, EveryShapeReturnsTheSameAnswer) {
   std::unique_ptr<LoopbackCluster> cluster;
   std::unique_ptr<DataOwner> owner;
   std::unique_ptr<PpannsService> local;
+  std::unique_ptr<CloudServer> paper_core;  ///< the PPDB rows' reference
   const PpannsService* service = nullptr;
   if (topo.remote) {
     cluster = std::make_unique<LoopbackCluster>(topo.kind, topo.shards,
                                                 topo.replicas, ds, 51);
     owner = std::move(cluster->owner);
     service = cluster->gather.get();
+  } else if (topo.ppdb) {
+    owner = std::make_unique<DataOwner>(
+        MakeOwner(BaseParams(topo.kind, 1, 1, 51)));
+    BinaryWriter package;
+    owner->EncryptAndIndex(ds.base).Serialize(&package);
+    BinaryReader as_set(package.buffer());
+    auto db = ShardedEncryptedDatabase::Deserialize(&as_set);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_TRUE(db->bare);
+    local = std::make_unique<PpannsService>(ShardedCloudServer(std::move(*db)));
+    ASSERT_EQ(local->num_shards(), 1u);
+    ASSERT_EQ(local->num_replicas(), 1u);
+    BinaryReader as_single(package.buffer());
+    auto single = EncryptedDatabase::Deserialize(&as_single);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    paper_core = std::make_unique<CloudServer>(std::move(*single));
+
+    // An unmutated package checkpoints to its own bytes.
+    const std::string path =
+        ::testing::TempDir() + "call_shape_" + topo.name + ".ppanns";
+    ASSERT_TRUE(local->Checkpoint(path).ok());
+    auto written = ReadFile(path);
+    std::filesystem::remove(path);
+    ASSERT_TRUE(written.ok()) << written.status().ToString();
+    EXPECT_EQ(*written, package.buffer());
+    service = local.get();
   } else {
     owner = std::make_unique<DataOwner>(
         MakeOwner(BaseParams(topo.kind, topo.shards, topo.replicas, 51)));
@@ -208,6 +245,10 @@ TEST_P(ShardedCallShapeTest, EveryShapeReturnsTheSameAnswer) {
                      i);
     ExpectSameAnswer(hedged_batch->results[i], *sync,
                      "SearchBatch hedge_ms=1000", i);
+    if (paper_core != nullptr) {
+      ExpectSameAnswer(*sync, paper_core->Search(tokens[i], kK),
+                       "Search vs CloudServer::Search", i);
+    }
   }
 }
 
@@ -215,7 +256,15 @@ INSTANTIATE_TEST_SUITE_P(
     Topologies, ShardedCallShapeTest,
     ::testing::Values(Topology{"brute_4x2", IndexKind::kBruteForce, 4, 2, false},
                       Topology{"hnsw_2x2", IndexKind::kHnsw, 2, 2, false},
-                      Topology{"remote_2x1", IndexKind::kHnsw, 2, 1, true}),
+                      Topology{"remote_2x1", IndexKind::kHnsw, 2, 1, true},
+                      Topology{"ppdb_brute_1x1", IndexKind::kBruteForce, 1, 1,
+                               false, true},
+                      Topology{"ppdb_hnsw_1x1", IndexKind::kHnsw, 1, 1, false,
+                               true},
+                      Topology{"ppdb_ivf_1x1", IndexKind::kIvf, 1, 1, false,
+                               true},
+                      Topology{"ppdb_lsh_1x1", IndexKind::kLsh, 1, 1, false,
+                               true}),
     [](const ::testing::TestParamInfo<Topology>& info) {
       return info.param.name;
     });

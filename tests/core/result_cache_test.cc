@@ -190,7 +190,7 @@ TwinSystem BuildTwins(std::uint32_t num_shards, std::size_t n, std::size_t nq,
                       std::uint64_t seed) {
   TwinSystem sys;
   sys.dataset = MakeDataset(SyntheticKind::kGloveLike, n, nq, 0, seed, kDim);
-  // num_shards = 0 selects the single-index topology below; params still
+  // num_shards = 0 selects a single-shard package below; params still
   // need a positive shard count to validate.
   const PpannsParams params =
       TwinParams(IndexKind::kBruteForce, num_shards == 0 ? 1 : num_shards, seed);
@@ -209,9 +209,11 @@ TwinSystem BuildTwins(std::uint32_t num_shards, std::size_t n, std::size_t nq,
         ShardedCloudServer(twin_owner.EncryptAndIndexSharded(sys.dataset.base)));
   } else {
     sys.cached = std::make_unique<PpannsService>(
-        CloudServer(sys.owner->EncryptAndIndex(sys.dataset.base)));
+        ShardedCloudServer(ShardedEncryptedDatabase::FromSingleShard(
+            sys.owner->EncryptAndIndex(sys.dataset.base))));
     sys.plain = std::make_unique<PpannsService>(
-        CloudServer(twin_owner.EncryptAndIndex(sys.dataset.base)));
+        ShardedCloudServer(ShardedEncryptedDatabase::FromSingleShard(
+            twin_owner.EncryptAndIndex(sys.dataset.base))));
   }
   sys.cached->EnableResultCache(ResultCacheOptions{.capacity = 256});
   sys.client = std::make_unique<QueryClient>(sys.owner->ShareKeys(), seed + 1);

@@ -40,7 +40,8 @@ ServiceSystem BuildService(IndexKind kind, std::size_t n, std::size_t nq,
   PPANNS_CHECK(owner.ok());
   sys.owner = std::make_unique<DataOwner>(std::move(*owner));
   sys.service = std::make_unique<PpannsService>(
-      CloudServer(sys.owner->EncryptAndIndex(sys.dataset.base)));
+      ShardedCloudServer(ShardedEncryptedDatabase::FromSingleShard(
+          sys.owner->EncryptAndIndex(sys.dataset.base))));
   sys.client = std::make_unique<QueryClient>(sys.owner->ShareKeys(), seed + 1);
   return sys;
 }
@@ -79,7 +80,9 @@ TEST(ServiceValidationTest, RejectsEmptyDatabase) {
   params.dcpe_beta = 0.5;
   auto owner = DataOwner::Create(dim, params);
   ASSERT_TRUE(owner.ok());
-  PpannsService service{CloudServer(owner->EncryptAndIndex(FloatMatrix(0, dim)))};
+  PpannsService service{
+      ShardedCloudServer(ShardedEncryptedDatabase::FromSingleShard(
+          owner->EncryptAndIndex(FloatMatrix(0, dim))))};
   QueryClient client(owner->ShareKeys(), 4);
 
   const float q[dim] = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -151,7 +154,6 @@ TEST(ServiceValidationTest, ValidatesShardedTopology) {
   ASSERT_TRUE(owner.ok());
   PpannsService service{
       ShardedCloudServer(owner->EncryptAndIndexSharded(ds.base))};
-  ASSERT_TRUE(service.sharded());
   ASSERT_EQ(service.num_shards(), 3u);
   QueryClient client(owner->ShareKeys(), 10);
 

@@ -72,7 +72,8 @@ TEST_P(ShardedEquivalenceTest, BruteShardingMatchesUnshardedExactly) {
   DataOwner flat_owner = MakeOwner(BaseParams(IndexKind::kBruteForce, 1, 11));
   DataOwner shard_owner =
       MakeOwner(BaseParams(IndexKind::kBruteForce, num_shards, 11));
-  PpannsService flat{CloudServer(flat_owner.EncryptAndIndexParallel(ds.base))};
+  PpannsService flat{ShardedCloudServer(ShardedEncryptedDatabase::FromSingleShard(
+      flat_owner.EncryptAndIndexParallel(ds.base)))};
   PpannsService sharded{
       ShardedCloudServer(shard_owner.EncryptAndIndexSharded(ds.base))};
 
@@ -83,7 +84,7 @@ TEST_P(ShardedEquivalenceTest, BruteShardingMatchesUnshardedExactly) {
 
   // The construction guarantee the exact-id equivalence rests on: both
   // builds produced bit-identical SAP ciphertexts for every row.
-  const FloatMatrix& flat_sap = flat.server().index().data();
+  const FloatMatrix& flat_sap = flat.sharded_server().shard(0).index().data();
   for (VectorId g = 0; g < n; ++g) {
     const ShardRef& ref = sharded.sharded_server().manifest().at(g);
     const FloatMatrix& shard_sap =
@@ -126,7 +127,8 @@ TEST(ShardedSearchTest, HnswShardingHoldsRecall) {
 
   DataOwner flat_owner = MakeOwner(BaseParams(IndexKind::kHnsw, 1, 13));
   DataOwner shard_owner = MakeOwner(BaseParams(IndexKind::kHnsw, 4, 13));
-  PpannsService flat{CloudServer(flat_owner.EncryptAndIndexParallel(ds.base))};
+  PpannsService flat{ShardedCloudServer(ShardedEncryptedDatabase::FromSingleShard(
+      flat_owner.EncryptAndIndexParallel(ds.base)))};
   PpannsService sharded{
       ShardedCloudServer(shard_owner.EncryptAndIndexSharded(ds.base))};
 
@@ -312,6 +314,60 @@ TEST(ShardedSerializationTest, EmptyShardsRoundTripAndServe) {
   auto id = service.Insert(owner.EncryptOne(ds.queries.row(1)));
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(service.sharded_server().manifest().at(*id).shard, 3u);
+}
+
+// A single-shard "PPDB" package served as a 1x1 set keeps its format
+// through inserts and deletes — the snapshot equals the paper core's own
+// CloudServer snapshot after the same mutations — and moves to the
+// checksummed v3 sharded envelope only at its first compaction, which then
+// reloads with the same answers.
+TEST(ShardedSerializationTest, SingleShardPackageKeepsPpdbUntilCompaction) {
+  const Dataset ds = MakeData(240, 6, /*seed=*/19);
+  DataOwner owner = MakeOwner(BaseParams(IndexKind::kHnsw, 1, 19));
+  BinaryWriter package;
+  owner.EncryptAndIndex(ds.base).Serialize(&package);
+  BinaryReader as_set(package.buffer());
+  auto db = ShardedEncryptedDatabase::Deserialize(&as_set);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  PpannsService service{ShardedCloudServer(std::move(*db))};
+  BinaryReader as_single(package.buffer());
+  auto single = EncryptedDatabase::Deserialize(&as_single);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  CloudServer paper_core(std::move(*single));
+
+  const EncryptedVector extra = owner.EncryptOne(ds.queries.row(0));
+  auto id = service.Insert(extra);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(*id, paper_core.Insert(extra));
+  for (VectorId victim : {VectorId{3}, VectorId{77}, VectorId{150}}) {
+    ASSERT_TRUE(service.Delete(victim).ok());
+    ASSERT_TRUE(paper_core.Delete(victim).ok());
+  }
+  BinaryWriter mutated, reference;
+  service.SerializeDatabase(&mutated);
+  paper_core.SerializeDatabase(&reference);
+  EXPECT_EQ(mutated.buffer(), reference.buffer());
+
+  ASSERT_TRUE(service.sharded_server_mutable().CompactShard(0).ok());
+  BinaryWriter compacted;
+  service.SerializeDatabase(&compacted);
+  BinaryReader header(compacted.buffer());
+  std::uint32_t magic = 0, version = 0;
+  ASSERT_TRUE(header.Get(&magic).ok());
+  ASSERT_TRUE(header.Get(&version).ok());
+  EXPECT_EQ(magic, 0x50505348u);  // "PPSH"
+  EXPECT_EQ(version, 3u);
+  BinaryReader reread(compacted.buffer());
+  auto reloaded = ShardedEncryptedDatabase::Deserialize(&reread);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_FALSE(reloaded->bare);
+  PpannsService after{ShardedCloudServer(std::move(*reloaded))};
+  for (const QueryToken& token : MakeTokens(owner, ds, 41)) {
+    auto a = service.Search(token, 5);
+    auto b = after.Search(token, 5);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(b->ids, a->ids);
+  }
 }
 
 class ManifestRejectionTest : public ::testing::Test {

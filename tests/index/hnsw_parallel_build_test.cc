@@ -165,6 +165,48 @@ TEST(HnswParallelBuildTest, GraphBytesIndependentOfThreadCount) {
   EXPECT_EQ(build_bytes(4, /*pool=*/nullptr), t4);  // dedicated-thread path
 }
 
+// Delete repair is schedule-free too: Remove plans every in-neighbor repair
+// in parallel against the graph as it stands after the unlink, then commits
+// the plans in (node, level) order on the calling thread. The same delete
+// script applied from inside a pool worker (where ParallelFor runs inline,
+// so every phase runs in ascending order) and from the main thread (where
+// it fans across the pool) must leave byte-identical graphs — the property
+// that keeps replicas byte-identical under churn.
+TEST(HnswParallelBuildTest, DeleteRepairBytesIndependentOfSchedule) {
+  const std::size_t n = 1500, d = 10;
+  HnswIndex built(d, HnswParams{.m = 8, .ef_construction = 80, .seed = 23});
+  built.AddBatchParallel(RandomData(n, d, 61), &ThreadPool::Global(), 4);
+  BinaryWriter image;
+  built.Serialize(&image);
+  auto load = [&image] {
+    BinaryReader r(image.buffer());
+    auto index = HnswIndex::Deserialize(&r);
+    EXPECT_TRUE(index.ok());
+    return std::move(*index);
+  };
+  HnswIndex inline_copy = load();
+  HnswIndex parallel_copy = load();
+
+  // Every 7th id plus a run of neighbors: enough shared in-neighbors that a
+  // schedule-dependent repair order would show up in the adjacency bytes.
+  std::vector<VectorId> script;
+  for (VectorId id = 3; id < n; id += 7) script.push_back(id);
+  for (VectorId id = 700; id < 760; ++id) {
+    if (id % 7 != 3) script.push_back(id);
+  }
+  auto apply = [&script](HnswIndex* index) {
+    for (VectorId id : script) ASSERT_TRUE(index->Remove(id).ok());
+  };
+  ThreadPool::Global().Async([&] { apply(&inline_copy); }).get();
+  apply(&parallel_copy);
+
+  BinaryWriter a, b;
+  inline_copy.Serialize(&a);
+  parallel_copy.Serialize(&b);
+  EXPECT_EQ(a.buffer(), b.buffer());
+  ExpectSameGraph(inline_copy, parallel_copy);
+}
+
 TEST(HnswParallelBuildTest, InvariantsHoldAtHighThreadCount) {
   const std::size_t n = 2500, d = 8;
   FloatMatrix data = RandomData(n, d, 36);

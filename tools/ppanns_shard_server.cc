@@ -1,5 +1,5 @@
-// ppanns_shard_server — hosts the shard replicas of an encrypted sharded
-// package behind the PP-RPC protocol (docs/rpc-protocol.md), so a gather
+// ppanns_shard_server — hosts the shard replicas of an encrypted package
+// (sharded, or a single-shard package served as one shard) behind the PP-RPC protocol (docs/rpc-protocol.md), so a gather
 // node (`ppanns_cli search --connect host:port,...`) can scatter filter
 // work to it across a real socket.
 //
@@ -81,7 +81,7 @@ int Usage() {
       "usage: ppanns_shard_server --db db.ppanns [--port P]\n"
       "         [--shards 0,1,...] [--delay S:R:MS,...]\n"
       "         [--wal-dir DIR] [--auth-key-file FILE]\n"
-      "  --db      sharded encrypted package (ppanns_cli encrypt --shards N)\n"
+      "  --db      encrypted package (ppanns_cli encrypt; any shard count)\n"
       "  --port    TCP port to listen on (default 0 = ephemeral; the chosen\n"
       "            port is printed as 'listening on port N')\n"
       "  --shards  comma-separated shard ids this endpoint serves\n"
@@ -154,20 +154,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "db: %s\n", blob.status().ToString().c_str());
     return 1;
   }
-  if (!ShardedEncryptedDatabase::LooksSharded(*blob)) {
-    std::fprintf(stderr,
-                 "db: %s is a single-shard package; a shard server needs the "
-                 "sharded envelope (ppanns_cli encrypt --shards N)\n",
-                 args.GetString("db").c_str());
-    return 1;
-  }
   BinaryReader reader(*blob);
   auto db = ShardedEncryptedDatabase::Deserialize(&reader);
   if (!db.ok()) {
     std::fprintf(stderr, "db: %s\n", db.status().ToString().c_str());
     return 1;
   }
-  // The facade wraps the sharded server so remote mutations get validation
+  // The facade wraps the server so remote mutations get validation
   // and (with --wal-dir) append-before-apply durability, exactly like a
   // local caller's.
   PpannsService service(ShardedCloudServer(std::move(*db)));
