@@ -15,7 +15,9 @@
 //
 // A second table times the DCE key side at d=128 and d=960: KeyGen wall
 // time (dominated by the (2d+16)^2 M3 QR) and the mean per-query GenTrapdoor
-// cost (dominated by the folded M3^{-1} matvec).
+// cost (dominated by the folded M3^{-1} matvec). A third times the server's
+// refine kernel at the same dims: DceScheme::DistanceComp over real
+// ciphertexts, forced-scalar vs the active SIMD table, in ns per comparison.
 //
 // Every point is also emitted as one JSON line into
 // BENCH_kernel_throughput.json (override with PPANNS_BENCH_JSON) so the
@@ -199,7 +201,13 @@ int main() {
     std::printf("\n");
   }
 
-  // DCE key side: one KeyGen per dim, then `q` trapdoors on fresh queries.
+  // DCE key side: one KeyGen per dim, then `q` trapdoors on fresh queries;
+  // the refine-kernel rows are collected alongside and printed after.
+  struct CompareRow {
+    std::size_t dim;
+    double ns[2];  // forced-scalar, active SIMD table
+  };
+  std::vector<CompareRow> compare_rows;
   std::printf("%-6s %-10s %14s %18s\n", "dim", "config", "dce_keygen_s",
               "dce_trapdoor_us");
   for (const std::size_t dim : {std::size_t{128}, std::size_t{960}}) {
@@ -224,6 +232,55 @@ int main() {
                    "\"kernel\":\"%s\",\"dce_keygen_s\":%.4f,"
                    "\"dce_trapdoor_us\":%.2f}\n",
                    dim, q, ActiveKernelName(), keygen_s, trapdoor_us);
+    }
+
+    // Refine kernel: 16 ciphertexts (140 KB at d=128, 1 MB at d=960: past
+    // L1, within a typical L2, so the row tracks the kernel rather than the
+    // memory system) compared pairwise under one trapdoor. Min over
+    // interleaved reps, as for the scan table above.
+    const std::size_t pool = 16, comparisons = 4096;
+    const FloatMatrix rows = RandomRows(pool, dim, rng);
+    std::vector<DceCiphertext> cts;
+    cts.reserve(pool);
+    for (std::size_t i = 0; i < pool; ++i) {
+      cts.push_back(scheme->Encrypt(rows.row(i), rng));
+    }
+    const DceTrapdoor tq = scheme->GenTrapdoor(queries.row(0), rng);
+    const KernelIsa isas[2] = {KernelIsa::kScalar, ActiveKernelIsa()};
+    double best_ns[2] = {0.0, 0.0};
+    double sink = 0.0;
+    for (std::size_t rep = 0; rep < EnvSize("PPANNS_BENCH_REPS", 9); ++rep) {
+      for (std::size_t c = 0; c < 2; ++c) {
+        ScopedKernelIsa guard(isas[c]);
+        Timer timer;
+        for (std::size_t i = 0; i < comparisons; ++i) {
+          sink += DceScheme::DistanceComp(cts[i % pool],
+                                          cts[(i * 7 + 1) % pool], tq);
+        }
+        const double ns = timer.ElapsedSeconds() / comparisons * 1e9;
+        if (rep == 0 || ns < best_ns[c]) best_ns[c] = ns;
+      }
+    }
+    if (std::isnan(sink)) return 1;  // keeps the timed calls observable
+    compare_rows.push_back({dim, {best_ns[0], best_ns[1]}});
+  }
+
+  std::printf("\n%-6s %-10s %16s %10s\n", "dim", "config", "dce_compare_ns",
+              "speedup");
+  for (const CompareRow& row : compare_rows) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      const char* config = c == 0 ? "scalar" : "simd";
+      const double speedup = row.ns[0] / row.ns[c];
+      std::printf("%-6zu %-10s %16.1f %9.2fx\n", row.dim, config, row.ns[c],
+                  speedup);
+      if (json != nullptr) {
+        std::fprintf(json,
+                     "{\"bench\":\"kernel_throughput\",\"dim\":%zu,"
+                     "\"config\":\"%s\",\"kernel\":\"%s\","
+                     "\"dce_compare_ns\":%.2f,\"speedup_vs_scalar\":%.3f}\n",
+                     row.dim, config, c == 0 ? "scalar" : ActiveKernelName(),
+                     row.ns[c], speedup);
+      }
     }
   }
   if (json != nullptr) std::fclose(json);

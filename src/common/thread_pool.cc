@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace ppanns {
 
@@ -36,10 +37,50 @@ void ThreadPool::Wait() {
 }
 
 namespace {
-// The pool whose worker is executing on this thread (null outside workers),
-// so a nested ParallelFor can detect it must not block on the pool it is
-// running inside — fanning out to a *different* pool stays parallel.
+// The pool whose worker is executing on this thread: set for a worker's
+// lifetime and for a ParallelFor caller while it runs chunks, null
+// otherwise. A nested ParallelFor runs inline on the pool it is running
+// inside — fanning out to a *different* pool stays parallel.
 thread_local const ThreadPool* t_worker_pool = nullptr;
+
+// One ParallelFor call's shared state. Helpers hold it by shared_ptr, so a
+// helper that runs after the call has returned still has valid counters to
+// look at; it dereferences `fn` (which lives in the caller's frame) only
+// after claiming a chunk, and the caller does not return before every
+// claimed chunk is done.
+struct ChunkState {
+  const std::function<void(std::size_t, std::size_t)>* fn;
+  std::size_t n;
+  std::size_t step;
+  std::size_t chunks;
+  std::atomic<std::size_t> next{0};  // next unclaimed chunk
+  std::atomic<std::size_t> done{0};  // finished chunks
+  std::mutex mu;
+  std::condition_variable cv;
+
+  // Claims and runs chunks until none are left. noexcept: an exception
+  // escaping `fn` terminates here rather than unwinding the caller's frame
+  // while helpers still run chunks that reference it.
+  void RunChunks() noexcept {
+    for (std::size_t c = next++; c < chunks; c = next++) {
+      const std::size_t begin = c * step;
+      (*fn)(begin, std::min(begin + step, n));
+      if (++done == chunks) {
+        // Taking the lock orders this notify after the caller either saw
+        // the final count or started waiting, so the wake-up is never lost.
+        std::lock_guard<std::mutex> lock(mu);
+        cv.notify_all();
+      }
+    }
+  }
+
+  void WaitDone() {
+    if (done == chunks) return;
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return done == chunks; });
+  }
+};
+
 }  // namespace
 
 bool ThreadPool::InWorker() const { return t_worker_pool == this; }
@@ -47,35 +88,36 @@ bool ThreadPool::InWorker() const { return t_worker_pool == this; }
 void ThreadPool::ParallelFor(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
-  if (t_worker_pool == this || n == 1) {
-    // Nested call (or nothing to split): run inline. Submitting and waiting
-    // from a worker deadlocks once every worker is the one waiting.
+  if (t_worker_pool == this) {
+    // Nested call: run inline, as the enclosing chunk's thread already
+    // counts as one of this pool's workers.
     fn(0, n);
     return;
   }
 
-  const std::size_t chunks = std::min(n, num_threads() * 4);
-  const std::size_t step = (n + chunks - 1) / chunks;
+  const std::size_t max_chunks = std::min(n, num_threads() * 4);
+  const std::size_t step = (n + max_chunks - 1) / max_chunks;
+  auto state = std::make_shared<ChunkState>();
+  state->fn = &fn;
+  state->n = n;
+  state->step = step;
+  state->chunks = (n + step - 1) / step;
 
-  // Per-call completion latch: Wait()-style global tracking would make two
-  // concurrent ParallelFor callers block on each other's unrelated tasks.
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t remaining;
-  } latch;
-  latch.remaining = (n + step - 1) / step;
-
-  for (std::size_t begin = 0; begin < n; begin += step) {
-    const std::size_t end = std::min(begin + step, n);
-    Submit([&fn, &latch, begin, end] {
-      fn(begin, end);
-      std::lock_guard<std::mutex> lock(latch.mu);
-      if (--latch.remaining == 0) latch.cv.notify_all();
-    });
+  // The caller is one of the min(chunks, threads) runners; helpers that
+  // start late find every chunk claimed and return at once.
+  const std::size_t helpers = std::min(state->chunks, num_threads()) - 1;
+  for (std::size_t h = 0; h < helpers; ++h) {
+    Submit([state] { state->RunChunks(); });
   }
-  std::unique_lock<std::mutex> lock(latch.mu);
-  latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
+
+  // Run chunks as a worker of this pool, so InWorker() and every nested-call
+  // rule behave as on a helper; restore the caller's own identity (it may be
+  // a worker of another pool) afterwards.
+  const ThreadPool* const saved = t_worker_pool;
+  t_worker_pool = this;
+  state->RunChunks();
+  t_worker_pool = saved;
+  state->WaitDone();
 }
 
 void ThreadPool::WorkerLoop() {

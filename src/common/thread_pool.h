@@ -1,6 +1,8 @@
-// A small fixed-size thread pool used for parallel ground-truth computation
-// and batch encryption. Search benchmarks remain single-threaded to match the
-// paper's measurement methodology (Section VII, "single thread").
+// A small fixed-size thread pool: the process-wide executor for the parallel
+// build passes (encryption, per-shard and intra-shard index construction,
+// keygen QR blocks), ground-truth computation, and the serving path's
+// scatter-gather (the per-(query, shard) filter items, the per-query
+// merge + refine, and the hedged async dispatch).
 
 #ifndef PPANNS_COMMON_THREAD_POOL_H_
 #define PPANNS_COMMON_THREAD_POOL_H_
@@ -55,16 +57,27 @@ class ThreadPool {
   /// inline execution (ParallelFor does so automatically).
   bool InWorker() const;
 
-  /// Splits [0, n) into contiguous chunks and runs `fn(begin, end)` on the
-  /// pool, blocking until all chunks complete. Hardened edge cases:
+  /// Splits [0, n) into contiguous chunks and runs `fn(begin, end)` on each,
+  /// returning once all chunks complete. The caller is a worker for the
+  /// call's duration: it claims and runs chunks itself beside at most
+  /// min(chunks, num_threads()) - 1 helper tasks queued on the pool, and it
+  /// waits only on chunks another thread has already claimed — never on a
+  /// helper still sitting in the queue, so a call finishes even when every
+  /// worker is busy elsewhere. A helper that starts after the last chunk is
+  /// claimed finds nothing to do and never touches the caller's frame.
+  /// Contract:
   ///  * n == 0 returns immediately without invoking `fn`;
-  ///  * n < num_threads() produces exactly n single-element chunks (never an
-  ///    empty chunk);
+  ///  * n <= 4 * num_threads() produces exactly n single-element chunks
+  ///    (never an empty chunk);
+  ///  * every chunk runs with InWorker() true, on the caller as on a helper,
+  ///    so nested-call rules see one kind of thread; InWorker() is restored
+  ///    on the caller when the call returns;
   ///  * completion is tracked per call, so concurrent ParallelFor calls from
   ///    different threads do not wait on each other's work;
-  ///  * a call from inside a pool worker runs inline on the calling thread
-  ///    (nested fan-out would otherwise deadlock with every worker blocked
-  ///    in a wait).
+  ///  * a call from inside a pool worker (or from inside a chunk) runs inline
+  ///    on the calling thread;
+  ///  * `fn` must not throw: an exception escaping a chunk terminates, as it
+  ///    would on any worker.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
 
   std::size_t num_threads() const { return workers_.size(); }

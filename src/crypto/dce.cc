@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/kernels.h"
+
 namespace ppanns {
 
 namespace {
@@ -221,19 +223,8 @@ DceTrapdoor DceScheme::GenTrapdoor(const float* q, Rng& rng) const {
 
 double DceScheme::DistanceComp(const DceCiphertext& o, const DceCiphertext& p,
                                const DceTrapdoor& tq) {
-  // Z = [o'_1 o p'_3 - o'_2 o p'_4] . q'   (Eq. 16). Fused single pass:
-  // 4 multiplies + 2 adds per coordinate, O(d) total.
-  const std::size_t n = o.block;
-  const double* o1 = o.p1();
-  const double* o2 = o.p2();
-  const double* p3 = p.p3();
-  const double* p4 = p.p4();
-  const double* t = tq.data.data();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += (o1[i] * p3[i] - o2[i] * p4[i]) * t[i];
-  }
-  return acc;
+  // Z = [o'_1 o p'_3 - o'_2 o p'_4] . q'   (Eq. 16), one fused O(d) pass.
+  return DceCompare(o.p1(), o.p2(), p.p3(), p.p4(), tq.data.data(), o.block);
 }
 
 }  // namespace ppanns

@@ -97,6 +97,22 @@ void ScalarAxpyF64(double a, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = y[i] + a * x[i];
 }
 
+double ScalarDceCompareF64(const double* o1, const double* o2,
+                           const double* p3, const double* p4, const double* t,
+                           std::size_t n) {
+  double acc[kF64Lanes] = {};
+  std::size_t i = 0;
+  for (; i + kF64Lanes <= n; i += kF64Lanes) {
+    for (std::size_t j = 0; j < kF64Lanes; ++j) {
+      const std::size_t k = i + j;
+      acc[j] = acc[j] + (o1[k] * p3[k] - o2[k] * p4[k]) * t[k];
+    }
+  }
+  double sum = (acc[0] + acc[2]) + (acc[1] + acc[3]);
+  for (; i < n; ++i) sum = sum + (o1[i] * p3[i] - o2[i] * p4[i]) * t[i];
+  return sum;
+}
+
 std::int32_t ScalarL2I8(const std::int8_t* a, const std::int8_t* b,
                         std::size_t d) {
   std::int32_t sum = 0;
@@ -141,9 +157,10 @@ void ScalarL2BatchI8(const std::int8_t* q, const std::int8_t* const* rows,
 }
 
 constexpr KernelOps kScalarOps = {
-    "scalar",         ScalarL2F32,      ScalarIpF32,    ScalarL2F64,
-    ScalarDotF64,     ScalarAxpyF64,    ScalarL2I8,     ScalarL2BatchF32,
-    ScalarIpBatchF32, ScalarL2BatchI8,
+    "scalar",             ScalarL2F32,          ScalarIpF32,
+    ScalarL2F64,          ScalarDotF64,         ScalarAxpyF64,
+    ScalarDceCompareF64,  ScalarL2I8,           ScalarL2BatchF32,
+    ScalarIpBatchF32,     ScalarL2BatchI8,
 };
 
 // ---- Dispatch ---------------------------------------------------------------

@@ -2,12 +2,10 @@
 // inner-product computation in the system.
 //
 // Every hot loop (HNSW beam expansion, IVF centroid + posting scans, LSH
-// hashing and candidate scoring, brute force, kmeans, and the double-precision
-// cryptographic transforms and keygen QR) calls through this header, with one
-// exception: DceScheme::DistanceComp (src/crypto/dce.cc), the server's DCE
-// refine comparison, is still a plain scalar loop with no kernel entry. The
-// active
-// implementation is resolved once at first use: cpuid picks the widest ISA the
+// hashing and candidate scoring, brute force, kmeans, the double-precision
+// cryptographic transforms and keygen QR, and the server's DCE refine
+// comparison) calls through this header. The active implementation is
+// resolved once at first use: cpuid picks the widest ISA the
 // machine supports (AVX2 on x86-64, NEON on aarch64, scalar otherwise), and
 // the PPANNS_KERNEL environment variable ("scalar", "avx2", "neon", "auto")
 // overrides the choice for debugging and for the forced-scalar CI pass. Tests
@@ -59,6 +57,9 @@ struct KernelOps {
   double (*l2_f64)(const double* a, const double* b, std::size_t d);
   double (*dot_f64)(const double* a, const double* b, std::size_t d);
   void (*axpy_f64)(double a, const double* x, double* y, std::size_t n);
+  double (*dce_compare_f64)(const double* o1, const double* o2,
+                            const double* p3, const double* p4,
+                            const double* t, std::size_t n);
   std::int32_t (*l2_i8)(const std::int8_t* a, const std::int8_t* b,
                         std::size_t d);
 
@@ -158,6 +159,16 @@ inline double Dot(const double* a, const double* b, std::size_t n) {
 /// keygen QR and VecMat go through it.
 inline void Axpy(double a, const double* x, double* y, std::size_t n) {
   kernel_detail::Active()->axpy_f64(a, x, y, n);
+}
+
+/// The DCE comparison sum (Eq. 16): sum_i (o1[i]*p3[i] - o2[i]*p4[i]) * t[i]
+/// over length-n blocks, in the canonical 4-lane double order. Each term is
+/// two multiplies, a subtract and a multiply with no FMA, so every ISA
+/// returns the scalar kernel's bits and the refine's sign decisions never
+/// depend on the dispatch.
+inline double DceCompare(const double* o1, const double* o2, const double* p3,
+                         const double* p4, const double* t, std::size_t n) {
+  return kernel_detail::Active()->dce_compare_f64(o1, o2, p3, p4, t, n);
 }
 
 /// Squared L2 distance between two int8 code vectors, exact in int32.

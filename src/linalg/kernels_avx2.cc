@@ -107,6 +107,23 @@ void Avx2AxpyF64(double a, const double* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] = y[i] + a * x[i];
 }
 
+double Avx2DceCompareF64(const double* o1, const double* o2, const double* p3,
+                         const double* p4, const double* t, std::size_t n) {
+  __m256d acc = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d a =
+        _mm256_mul_pd(_mm256_loadu_pd(o1 + i), _mm256_loadu_pd(p3 + i));
+    const __m256d b =
+        _mm256_mul_pd(_mm256_loadu_pd(o2 + i), _mm256_loadu_pd(p4 + i));
+    acc = _mm256_add_pd(
+        acc, _mm256_mul_pd(_mm256_sub_pd(a, b), _mm256_loadu_pd(t + i)));
+  }
+  double sum = HSum256d(acc);
+  for (; i < n; ++i) sum = sum + (o1[i] * p3[i] - o2[i] * p4[i]) * t[i];
+  return sum;
+}
+
 // Shuffle-free int8 L2: byte differences fit int8 under the kernel's range
 // contract (|a[i]-b[i]| <= 127, guaranteed by the 7-bit SQ codes), so the
 // whole square-and-accumulate runs on bytes with no widening shuffles:
@@ -297,9 +314,10 @@ void Avx2L2BatchI8(const std::int8_t* q, const std::int8_t* const* rows,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",         Avx2L2F32,      Avx2IpF32,    Avx2L2F64,
-    Avx2DotF64,     Avx2AxpyF64,    Avx2L2I8,     Avx2L2BatchF32,
-    Avx2IpBatchF32, Avx2L2BatchI8,
+    "avx2",               Avx2L2F32,            Avx2IpF32,
+    Avx2L2F64,            Avx2DotF64,           Avx2AxpyF64,
+    Avx2DceCompareF64,    Avx2L2I8,             Avx2L2BatchF32,
+    Avx2IpBatchF32,       Avx2L2BatchI8,
 };
 
 bool CpuHasAvx2() {

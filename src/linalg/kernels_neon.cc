@@ -104,6 +104,28 @@ void NeonAxpyF64(double a, const double* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] = y[i] + a * x[i];
 }
 
+double NeonDceCompareF64(const double* o1, const double* o2, const double* p3,
+                         const double* p4, const double* t, std::size_t n) {
+  float64x2_t acc_lo = vdupq_n_f64(0.0);
+  float64x2_t acc_hi = vdupq_n_f64(0.0);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float64x2_t a_lo = vmulq_f64(vld1q_f64(o1 + i), vld1q_f64(p3 + i));
+    const float64x2_t b_lo = vmulq_f64(vld1q_f64(o2 + i), vld1q_f64(p4 + i));
+    const float64x2_t a_hi =
+        vmulq_f64(vld1q_f64(o1 + i + 2), vld1q_f64(p3 + i + 2));
+    const float64x2_t b_hi =
+        vmulq_f64(vld1q_f64(o2 + i + 2), vld1q_f64(p4 + i + 2));
+    acc_lo = vaddq_f64(
+        acc_lo, vmulq_f64(vsubq_f64(a_lo, b_lo), vld1q_f64(t + i)));
+    acc_hi = vaddq_f64(
+        acc_hi, vmulq_f64(vsubq_f64(a_hi, b_hi), vld1q_f64(t + i + 2)));
+  }
+  double sum = HSum4d(acc_lo, acc_hi);
+  for (; i < n; ++i) sum = sum + (o1[i] * p3[i] - o2[i] * p4[i]) * t[i];
+  return sum;
+}
+
 // Widened-accumulator int8 L2: widen 8 codes to int16, subtract, multiply
 // into int32 via vmull — exact integer arithmetic in any order.
 std::int32_t NeonL2I8(const std::int8_t* a, const std::int8_t* b,
@@ -157,9 +179,10 @@ void NeonL2BatchI8(const std::int8_t* q, const std::int8_t* const* rows,
 }
 
 constexpr KernelOps kNeonOps = {
-    "neon",         NeonL2F32,      NeonIpF32,    NeonL2F64,
-    NeonDotF64,     NeonAxpyF64,    NeonL2I8,     NeonL2BatchF32,
-    NeonIpBatchF32, NeonL2BatchI8,
+    "neon",               NeonL2F32,            NeonIpF32,
+    NeonL2F64,            NeonDotF64,           NeonAxpyF64,
+    NeonDceCompareF64,    NeonL2I8,             NeonL2BatchF32,
+    NeonIpBatchF32,       NeonL2BatchI8,
 };
 
 }  // namespace

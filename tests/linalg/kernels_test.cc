@@ -179,6 +179,84 @@ TEST(KernelsTest, SimdBitExactAxpy) {
   }
 }
 
+// ---- DCE comparison kernel: Sum (o1*p3 - o2*p4) * t. --------------------
+
+// Four blocks plus a trapdoor at one length, filled like real ciphertext
+// blocks (mixed signs and magnitudes, so the subtraction cancels).
+struct DceBlocks {
+  std::vector<double> o1, o2, p3, p4, t;
+  DceBlocks(std::size_t n, Rng& rng) : o1(n), o2(n), p3(n), p4(n), t(n) {
+    for (std::size_t j = 0; j < n; ++j) {
+      o1[j] = rng.Gaussian(0.0, 50.0);
+      o2[j] = rng.Gaussian(0.0, 50.0);
+      p3[j] = rng.Gaussian(0.0, 0.5);
+      p4[j] = rng.Gaussian(0.0, 0.5);
+      t[j] = rng.Gaussian(0.0, 3.0);
+    }
+  }
+  double Compare() const {
+    return DceCompare(o1.data(), o2.data(), p3.data(), p4.data(), t.data(),
+                      t.size());
+  }
+};
+
+// Lengths 1..67 cover every tail and several full lane rounds; 272 and 1936
+// are the real block sizes at d=128 and d=960 (2d+16).
+std::vector<std::size_t> DceLengths() {
+  std::vector<std::size_t> out;
+  for (std::size_t n = 1; n <= 67; ++n) out.push_back(n);
+  out.push_back(272);
+  out.push_back(1936);
+  return out;
+}
+
+TEST(KernelsTest, ScalarDceCompareMatchesFourLaneReference) {
+  ScopedKernelIsa guard(KernelIsa::kScalar);
+  Rng rng(0xDCE1);
+  for (std::size_t n : DceLengths()) {
+    const DceBlocks b(n, rng);
+    // The canonical order written out naively: lane j sums terms j, j+4,
+    // ...; lanes reduce as (l0+l2)+(l1+l3); the tail is added in order.
+    double lane[4] = {0.0, 0.0, 0.0, 0.0};
+    const std::size_t body = n - n % 4;
+    for (std::size_t i = 0; i < body; ++i) {
+      const double prod1 = b.o1[i] * b.p3[i];
+      const double prod2 = b.o2[i] * b.p4[i];
+      const double term = (prod1 - prod2) * b.t[i];
+      lane[i % 4] = lane[i % 4] + term;
+    }
+    double want = (lane[0] + lane[2]) + (lane[1] + lane[3]);
+    for (std::size_t i = body; i < n; ++i) {
+      const double prod1 = b.o1[i] * b.p3[i];
+      const double prod2 = b.o2[i] * b.p4[i];
+      const double term = (prod1 - prod2) * b.t[i];
+      want = want + term;
+    }
+    const double got = b.Compare();
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << "n " << n;
+  }
+}
+
+TEST(KernelsTest, SimdBitExactDceCompare) {
+  for (KernelIsa isa : SupportedSimdIsas()) {
+    Rng rng(0xDCE2);
+    for (std::size_t n : DceLengths()) {
+      const DceBlocks b(n, rng);
+      double scalar, simd;
+      {
+        ScopedKernelIsa guard(KernelIsa::kScalar);
+        scalar = b.Compare();
+      }
+      {
+        ScopedKernelIsa guard(isa);
+        simd = b.Compare();
+      }
+      EXPECT_EQ(std::memcmp(&scalar, &simd, sizeof(double)), 0)
+          << "n " << n << " isa " << static_cast<int>(isa);
+    }
+  }
+}
+
 TEST(KernelsTest, SimdInt8KernelExact) {
   for (KernelIsa isa : SupportedSimdIsas()) {
     Rng rng(0xB19);
